@@ -23,7 +23,6 @@ from .exactcount import (
     LimitDistribution,
     LimitEntry,
     LogConcavityReport,
-    RankCensus as ExactRankCensus,
     c_index,
     coeff_T_pow,
     internal_vertices,
@@ -37,7 +36,7 @@ from .exactcount import (
     tree_count_closed,
 )
 from .bruteforce import brute_census, enumerate_all
-from .sampler import SamplerState, sample_batch, sample_uniform
+from .sampler import sample_batch
 from .seriesoracle import (
     TruncatedSeries,
     oracle_M,
@@ -76,7 +75,6 @@ __all__ = [
     "ConvergenceTable",
     "DomainError",
     "EstimateReport",
-    "ExactRankCensus",
     "InvalidTreeError",
     "LimitDistribution",
     "LimitEntry",
@@ -84,7 +82,6 @@ __all__ = [
     "NewickParseError",
     "PhyloRankError",
     "RankCensus",
-    "SamplerState",
     "TableCoverageError",
     "Tree",
     "TruncatedSeries",
@@ -114,7 +111,6 @@ __all__ = [
     "rank_ge_limit",
     "rank_of",
     "sample_batch",
-    "sample_uniform",
     "solve_T",
     "to_newick",
     "tree_count_closed",

@@ -90,15 +90,4 @@ def enumerate_all(k: int, n: int, cap: int = DEFAULT_CAP) -> Iterator[Tree]:
 
 def brute_census(k: int, n: int, max_rank: int, cap: int = DEFAULT_CAP) -> RankCensus:
     """Aggregate per-rank vertex counts over every tree on {1..n}, by inspection."""
-    by_rank = {i: 0 for i in range(max_rank + 1)}
-    tail = 0
-    total = 0
-    for tree in enumerate_all(k, n, cap=cap):
-        ranks = tree._rank_map()
-        total += len(ranks)
-        for r in ranks.values():
-            if r <= max_rank:
-                by_rank[r] += 1
-            else:
-                tail += 1
-    return RankCensus(by_rank=by_rank, tail=tail, total=total)
+    return RankCensus.of_trees(k, n, enumerate_all(k, n, cap=cap), max_rank)

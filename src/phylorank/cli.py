@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Sequence
 
@@ -22,21 +21,9 @@ from .errors import ConsistencyError, DomainError, PhyloRankError
 from .exactcount import CountTable, is_admissible, limit_distribution
 from .render import decimal_str, fraction_str
 from .sampler import sample_batch
-from .treecore import to_newick
+from .treecore import RankCensus, to_newick
 
 LARGE_TABLE_VERIFY_TO = 501  # bound for the quadratic cross-checks on huge tables
-
-
-def _default_workers() -> int:
-    env = os.environ.get("PHYLORANK_WORKERS")
-    if env:
-        try:
-            w = int(env)
-            if w >= 1:
-                return w
-        except ValueError:
-            pass
-    return 1
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -124,12 +111,7 @@ def _cmd_limits(args) -> int:
 
 def _cmd_sample(args) -> int:
     table = _make_table(args.k, args.n, args.full_verify)
-    newicks = [
-        to_newick(t)
-        for t in sample_batch(
-            args.k, args.n, args.count, args.seed, workers=args.workers, table=table
-        )
-    ]
+    newicks = [to_newick(t) for t in sample_batch(args.k, args.n, args.count, args.seed, table=table)]
     if args.format == "json":
         payload = {
             "command": "sample",
@@ -154,7 +136,6 @@ def _cmd_estimate(args) -> int:
         args.seed,
         args.max_rank,
         table=table,
-        workers=args.workers,
     )
     if args.format == "json":
         payload = {"command": "estimate", **report.to_json_dict()}
@@ -193,38 +174,39 @@ def _cmd_verify(args) -> int:
         if not ok:
             failures += 1
 
-    table = CountTable(k, max(n_max, 2))
+    table = CountTable(k, max(n_max, order))
 
-    # triple agreement: enumeration vs recurrence/closed table, per n
+    # triple agreement: enumeration vs recurrence/closed table, per n, in one
+    # enumeration pass that also counts (and optionally dumps) the trees
     dump_lines: list[str] = []
     for n in range(1, n_max + 1):
-        brute = bruteforce.brute_census(k, n, max_rank=3)
-        count = sum(1 for _ in bruteforce.enumerate_all(k, n))
-        ok = count == table.tree_count(n)
-        ok &= brute.total == table.total_vertex_count(n)
-        for i in range(4):
-            ok &= brute.count_rank_ge(i) == table.rank_ge_count(i, n)
-        census = table.rank_census(n, 3)
-        if census.exact:
-            ok &= all(
-                brute.by_rank.get(i, 0) == census.exact[i] for i in range(4)
-            )
-        if args.dump_newick:
-            dump_lines.extend(to_newick(t) for t in bruteforce.enumerate_all(k, n))
-        check(f"triple agreement at n={n}", ok)
+        count = 0
+
+        def enumerated():
+            nonlocal count
+            for tree in bruteforce.enumerate_all(k, n):
+                count += 1
+                if args.dump_newick:
+                    dump_lines.append(to_newick(tree))
+                yield tree
+
+        brute = RankCensus.of_trees(k, n, enumerated(), max_rank=3)
+        check(
+            f"triple agreement at n={n}",
+            brute == table.rank_census(n, 3) and count == table.tree_count(n),
+        )
     if args.dump_newick:
         _emit("".join(line + "\n" for line in dump_lines), args.dump_newick)
 
     # series identities at the requested truncation order
     T = seriesoracle.solve_T(k, order)
     check(f"compositional inverse through order {order}", seriesoracle.verify_inverse(k, order))
-    small = CountTable(k, order)
     for i in range(3):
         R = seriesoracle.oracle_R(k, i, order, T)
-        ok = all(R.labeled(n) == small.root_rank_count(i, n) for n in range(1, order + 1))
+        ok = all(R.labeled(n) == table.root_rank_count(i, n) for n in range(1, order + 1))
         check(f"root-rank series identity i={i}", ok)
         M = seriesoracle.oracle_M(k, i, order, T)
-        ok = all(M.labeled(n) == small.rank_ge_count(i, n) for n in range(1, order + 1))
+        ok = all(M.labeled(n) == table.rank_ge_count(i, n) for n in range(1, order + 1))
         check(f"rank-at-least series identity i={i}", ok)
         check(
             f"polynomial split identity i={i}",
@@ -297,7 +279,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=_default_workers())
     p.add_argument("--full-verify", action="store_true")
     add_common(p, fmt_choices=("newick", "json"))
     p.set_defaults(func=_cmd_sample)
@@ -308,7 +289,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-rank", type=int, default=3)
-    p.add_argument("--workers", type=int, default=_default_workers())
     p.add_argument("--full-verify", action="store_true")
     add_common(p)
     p.set_defaults(func=_cmd_estimate)

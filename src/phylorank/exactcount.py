@@ -21,10 +21,11 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, log2
 from typing import Sequence
 
 from .errors import ConsistencyError, DomainError, TableCoverageError
+from .treecore import RankCensus
 
 __all__ = [
     "is_admissible",
@@ -32,6 +33,7 @@ __all__ = [
     "c_index",
     "coeff_T_pow",
     "tree_count_closed",
+    "MAX_POWER_BITS",
     "rank_ge_limit",
     "rank_eq_limit",
     "LimitEntry",
@@ -41,7 +43,6 @@ __all__ = [
     "log_concavity_check",
     "log_concavity_over_ranks",
     "negligibility_ratio",
-    "RankCensus",
     "CountTable",
 ]
 
@@ -122,14 +123,37 @@ def tree_count_closed(k: int, n: int) -> int:
     return _labeled_pow_count(k, 1, n, factorial(n))
 
 
+MAX_POWER_BITS = 1 << 25
+"""Largest power k**c_i, in bits (about 33.5 million, 4 MiB), that the limit
+functions build.  Criterion 8 of the acceptance suite needs k**c_6 at k=20,
+about 14.6 million bits.  Ranks beyond the bound raise :class:`DomainError`."""
+
+
+def _bounded_c(k: int, i: int) -> int:
+    """c_i, refusing any i for which k**c_i would exceed MAX_POWER_BITS bits.
+
+    c_i >= k^(i-1), so a large i is refused before any power of k is formed;
+    otherwise k**i is at most 2^64 * k and c_i is computed exactly.
+    """
+    _check_k(k)
+    if not isinstance(i, int) or i < 0:
+        raise DomainError(f"rank index must be an integer >= 0, got {i!r}")
+    if (i - 1) * log2(k) <= 64:
+        c = c_index(k, i)
+        if c * log2(k) <= MAX_POWER_BITS:
+            return c
+    raise DomainError(f"k**c_{i} at k={k} would exceed the bound of {MAX_POWER_BITS} bits")
+
+
 def rank_ge_limit(k: int, i: int) -> Fraction:
     """Limiting fraction of vertices of rank at least i: exactly 1/k^(c_i)."""
-    return Fraction(1, k ** c_index(k, i))
+    return Fraction(1, k ** _bounded_c(k, i))
 
 
 def rank_eq_limit(k: int, i: int) -> Fraction:
     """Limiting fraction of vertices of rank exactly i:
     1/k^(c_i) - 1/k^(c_{i+1}) = 1/k^(c_i) - 1/k^(k*c_i + 1)."""
+    _bounded_c(k, i + 1)  # refuse before building either power
     return rank_ge_limit(k, i) - rank_ge_limit(k, i + 1)
 
 
@@ -149,9 +173,9 @@ class LimitDistribution:
 
 def limit_distribution(k: int, max_rank: int) -> LimitDistribution:
     """The limiting rank distribution for ranks 0..max_rank."""
-    _check_k(k)
     if max_rank < 0:
         raise DomainError("max_rank must be >= 0")
+    _bounded_c(k, max_rank + 1)
     entries = []
     for i in range(max_rank + 1):
         c = c_index(k, i)
@@ -172,7 +196,7 @@ def _point_prob_pair(k: int, i: int) -> tuple[int, int]:
     m = c_{i+1} - c_i = (k-1)*c_i + 1.  The pair is already in lowest terms
     (the numerator is -1 mod k), but nothing below relies on that.
     """
-    c_hi = c_index(k, i + 1)
+    c_hi = _bounded_c(k, i + 1)
     m = c_hi - c_index(k, i)
     t = k**m
     return t - 1, t * k ** (c_hi - m)
@@ -297,27 +321,6 @@ def negligibility_ratio(k: int, power: int, n: int) -> Fraction:
     return num / den
 
 
-@dataclass(frozen=True)
-class RankCensus:
-    """Exact aggregate rank counts over every tree at one (k, n).
-
-    ``exact[i]`` is the number of vertices of rank exactly i summed over all
-    trees; ``ratios[i]`` divides by the total vertex count; ``tail`` counts
-    vertices of rank > max_rank; empty (all-zero) for inadmissible n.
-    """
-
-    k: int
-    n: int
-    exact: tuple[int, ...]
-    ratios: tuple[Fraction, ...]
-    tail: int
-    total: int
-
-    @property
-    def max_rank(self) -> int:
-        return len(self.exact) - 1
-
-
 class CountTable:
     """All counting sequences for one branching factor k, exact through n_max.
 
@@ -353,11 +356,12 @@ class CountTable:
             self._kfac_pows[s] = self._kfac_pows[s - 1] * self._kfac
 
         # ordered j-forest counts g_j(n) = n! [x^n] T^j for j = 1..k, closed form
-        self._g: dict[int, list[int]] = {}
+        self._g: dict[int, tuple[int, ...]] = {}
         for j in range(1, k + 1):
-            self._g[j] = self._closed_g_array(j)
+            self._g[j] = tuple(self._closed_g_array(j))
         self._t = self._g[1]
         self._verify_g_tower()
+        self._verify_composition_totals()
         # forests of k-1 trees (unordered), used by the rank-at-least recurrence
         self._fkm1 = [
             _exact_div(v, self._km1fac, f"(k-1)-forest count at n={b}")
@@ -459,6 +463,17 @@ class CountTable:
                     f"tree count at n={n}: recurrence {prev[n]} != k! * closed {self._t[n]}"
                 )
 
+    def _verify_composition_totals(self) -> None:
+        """The ordered k-forest counts (the sampler's composition weights) must
+        sum to k! * t(n) at every n <= n_max, whatever ``verify_to`` is."""
+        g_k = self._g[self.k]
+        for n in range(2, self.n_max + 1):
+            if g_k[n] != self._kfac * self._t[n]:
+                raise ConsistencyError(
+                    f"composition weights at n={n} sum to {g_k[n]}, "
+                    f"expected k!*t = {self._kfac * self._t[n]}"
+                )
+
     def _build_r(self, i: int) -> list[int]:
         if self.k**i > self.n_max:
             # a root of rank i needs k^i descendant leaves
@@ -533,6 +548,14 @@ class CountTable:
         """t_{k,n}: the number of trees on leaf set {1..n} (0 for inadmissible n)."""
         self._check_cover(n)
         return self._t[n]
+
+    def ordered_forest_counts(self, j: int) -> tuple[int, ...]:
+        """g_j(n) = n! [x^n] T^j for n = 0..n_max and 1 <= j <= k: ordered
+        j-tuples of disjoint trees whose leaf sets partition {1..n}.
+        g_1 is the tree counts."""
+        if not isinstance(j, int) or not 1 <= j <= self.k:
+            raise DomainError(f"ordered forest size must be in 1..{self.k}, got {j!r}")
+        return self._g[j]
 
     def forest_count(self, j: int, n: int) -> int:
         """Unordered forests of j disjoint trees whose leaf sets partition {1..n}."""

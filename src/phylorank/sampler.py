@@ -10,24 +10,22 @@ harmless: sibling subtrees carry disjoint label sets, so each unordered set
 of k children corresponds to exactly k! ordered tuples.
 
 Reproducibility: sample index j derives its own generator from
-(base_seed, j) through a keyed hash, so a batch is one fixed multiset of
-trees regardless of how many workers produced it.
+(base_seed, j) through a keyed hash, so a batch is one fixed sequence of
+trees and its first m trees are the batch of count m for the same seed.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from math import comb
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import ConsistencyError, DomainError
 from .exactcount import CountTable, is_admissible
 from .treecore import Tree, Vertex, internal, leaf
 
-__all__ = ["SamplerState", "sample_uniform", "sample_batch"]
+__all__ = ["sample_batch"]
 
 
 def _rng_for(base_seed: int, index: int) -> random.Random:
@@ -37,51 +35,18 @@ def _rng_for(base_seed: int, index: int) -> random.Random:
     return random.Random(int.from_bytes(digest, "big"))
 
 
-def _assert_composition_totals(table: CountTable) -> None:
-    """The ordered k-tuple weights at every size must sum to k! * t(n)."""
-    kfac = table._kfac
-    g_k = table._g[table.k]
-    t = table._t
-    for n in range(2, table.n_max + 1):
-        if g_k[n] != kfac * t[n]:
-            raise ConsistencyError(
-                f"composition weights at n={n} sum to {g_k[n]}, expected k!*t = {kfac * t[n]}"
-            )
-
-
-@dataclass
-class SamplerState:
-    """Deterministic sampling state: a count table, a base seed, and a counter.
-
-    The tree produced for a given (k, n, seed, counter) is always the same,
-    no matter how calls interleave across threads.
-    """
-
-    table: CountTable
-    seed: int
-    counter: int = 0
-    _checked: bool = field(default=False, repr=False)
-
-    def _next_rng(self) -> random.Random:
-        if not self._checked:
-            _assert_composition_totals(self.table)
-            self._checked = True
-        rng = _rng_for(self.seed, self.counter)
-        self.counter += 1
-        return rng
-
-
-def _draw_block_size(table: CountTable, m: int, slots: int, rng: random.Random) -> int:
+def _draw_block_size(g: Sequence[Sequence[int]], m: int, slots: int, rng: random.Random) -> int:
     """Size of the next sub-block when `slots` blocks remain at node size m.
 
-    Weight of size a is C(m,a) * t(a) * g_{slots-1}(m-a); the scan walks the
+    ``g[j]`` holds the ordered j-forest counts, so ``g[1]`` is t.  Weight of
+    size a is C(m,a) * t(a) * g_{slots-1}(m-a); the scan walks the
     candidates from both ends inward because most of the probability mass
     sits near the extremes, keeping the expected number of big-integer
     products small.
     """
-    t_arr = table._t
-    g_prev = table._g[slots - 1]
-    total = table._g[slots][m]
+    t_arr = g[1]
+    g_prev = g[slots - 1]
+    total = g[slots][m]
     u = rng.randrange(total)
     lo, hi = 1, m - (slots - 1)
     c_lo = m  # C(m, 1)
@@ -134,8 +99,8 @@ def _attach(frame: _Frame, node: Vertex) -> None:
         frame = frame.parent
 
 
-def _build_root(table: CountTable, labels: list[int], rng: random.Random) -> Vertex:
-    k = table.k
+def _build_root(g: Sequence[Sequence[int]], labels: list[int], rng: random.Random) -> Vertex:
+    k = len(g) - 1
     sentinel = _Frame(parent=None, expect=1)
     work: list[tuple[list[int], _Frame]] = [(labels, sentinel)]
     while work:
@@ -147,7 +112,7 @@ def _build_root(table: CountTable, labels: list[int], rng: random.Random) -> Ver
         sizes = []
         rem = m
         for slots in range(k, 1, -1):
-            a = _draw_block_size(table, rem, slots, rng)
+            a = _draw_block_size(g, rem, slots, rng)
             sizes.append(a)
             rem -= a
         sizes.append(rem)
@@ -161,68 +126,32 @@ def _build_root(table: CountTable, labels: list[int], rng: random.Random) -> Ver
     return sentinel.children[0]
 
 
-def _sample_one(table: CountTable, n: int, rng: random.Random) -> Tree:
-    return Tree(_build_root(table, list(range(1, n + 1)), rng), table.k)
-
-
-def _prepare(table: CountTable, k: int, n: int) -> None:
-    if table.k != k:
-        raise DomainError(f"table was built for k={table.k}, not k={k}")
-    if table.tree_count(n) == 0:
-        raise DomainError(f"no k-phylogenetic trees exist for k={k}, n={n}")
-
-
-def sample_uniform(k: int, n: int, state: SamplerState) -> Tree:
-    """One tree, exactly uniform over all t_{k,n} trees on leaf set {1..n}.
-
-    Consumes one counter step of ``state``.  Raises for inadmissible n and
-    when the state's table does not cover n.
-    """
-    if not is_admissible(k, n):
-        raise DomainError(f"n={n} is inadmissible for k={k}: nothing to sample")
-    _prepare(state.table, k, n)
-    return _sample_one(state.table, n, state._next_rng())
-
-
 def sample_batch(
     k: int,
     n: int,
     count: int,
     base_seed: int,
-    workers: int = 1,
     table: CountTable | None = None,
 ) -> Iterator[Tree]:
-    """``count`` independent uniform trees, reproducible and worker-invariant.
+    """``count`` independent trees, each exactly uniform over all t_{k,n}
+    trees on leaf set {1..n}.
 
     Sample j is generated from a seed derived from (base_seed, j), so the
-    output sequence (not just the multiset) is identical for any ``workers``.
+    batch is reproducible and its first m trees equal the batch of count m.
     A missing ``table`` is built on the fly.
     """
     if count < 0:
         raise DomainError("count must be >= 0")
-    if workers < 1:
-        raise DomainError("workers must be >= 1")
     if count == 0:
         return
     if not is_admissible(k, n):
         raise DomainError(f"n={n} is inadmissible for k={k}: nothing to sample")
     if table is None:
         table = CountTable(k, n)
-    _prepare(table, k, n)
-    _assert_composition_totals(table)
-
-    if workers == 1:
-        for j in range(count):
-            yield _sample_one(table, n, _rng_for(base_seed, j))
-        return
-
-    chunk = -(-count // workers)
-    spans = [(lo, min(lo + chunk, count)) for lo in range(0, count, chunk)]
-
-    def run(span: tuple[int, int]) -> list[Tree]:
-        lo, hi = span
-        return [_sample_one(table, n, _rng_for(base_seed, j)) for j in range(lo, hi)]
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(run, spans):
-            yield from part
+    if table.k != k:
+        raise DomainError(f"table was built for k={table.k}, not k={k}")
+    table.tree_count(n)  # raises unless the table covers n
+    g = [()] + [table.ordered_forest_counts(j) for j in range(1, k + 1)]
+    labels = list(range(1, n + 1))
+    for j in range(count):
+        yield Tree(_build_root(g, labels, _rng_for(base_seed, j)), k)

@@ -12,6 +12,7 @@ No floating point appears anywhere here; that is the whole point.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from .errors import ConsistencyError, DomainError
@@ -158,12 +159,15 @@ class TruncatedSeries:
         return f"TruncatedSeries([{head}{tail}], order={self.order})"
 
 
+@lru_cache(maxsize=8)
 def solve_T(k: int, order: int) -> TruncatedSeries:
     """The tree series through ``order``: the unique fixed point of
     T = x + T^k/k! with zero constant term, by iteration from T = x.
 
     Each pass fixes at least k-1 further coefficients, so the iteration
-    stabilizes within ``order`` passes; stabilization is asserted.
+    stabilizes within ``order`` passes; stabilization is asserted.  Results
+    are immutable and memoized on (k, order), so the identities that share
+    one series solve it once.
     """
     if k < 2:
         raise DomainError("branching factor must be >= 2")

@@ -32,7 +32,7 @@ from .exactcount import (
 )
 from .render import decimal_str, fraction_str
 from .sampler import sample_batch
-from .treecore import to_newick
+from .treecore import census_of, to_newick
 
 __all__ = [
     "RankEstimateRow",
@@ -111,7 +111,6 @@ def estimate_rank_distribution(
     base_seed: int,
     max_rank: int,
     table: CountTable | None = None,
-    workers: int = 1,
 ) -> EstimateReport:
     """Monte Carlo rank frequencies over ``samples`` uniform trees.
 
@@ -128,30 +127,27 @@ def estimate_rank_distribution(
         raise DomainError(f"n={n} is inadmissible for k={k}")
     expected_vertices = k * internal_vertices(k, n) + 1
 
-    counts = Counter()
+    counts = [0] * (max_rank + 1)
     tail = 0
     total = 0
-    for tree in sample_batch(k, n, samples, base_seed, workers=workers, table=table):
-        ranks = tree._rank_map()
-        if len(ranks) != expected_vertices:
+    for tree in sample_batch(k, n, samples, base_seed, table=table):
+        census = census_of(tree, max_rank)
+        if census.total != expected_vertices:
             raise ConsistencyError(
-                f"sampled tree has {len(ranks)} vertices, expected {expected_vertices}"
+                f"sampled tree has {census.total} vertices, expected {expected_vertices}"
             )
-        total += len(ranks)
-        for r in ranks.values():
-            if r <= max_rank:
-                counts[r] += 1
-            else:
-                tail += 1
+        total += census.total
+        tail += census.tail
+        counts = [a + b for a, b in zip(counts, census.exact)]
 
     rows = []
     for i in range(max_rank + 1):
-        freq = Fraction(counts.get(i, 0), total)
+        freq = Fraction(counts[i], total)
         limit = rank_eq_limit(k, i)
         rows.append(
             RankEstimateRow(
                 rank=i,
-                count=counts.get(i, 0),
+                count=counts[i],
                 frequency=freq,
                 limit=limit,
                 deviation=abs(float(freq - limit)),
@@ -231,7 +227,6 @@ def chi_square_uniformity(
     significance: float = 0.001,
     support_cap: int = 10**5,
     table: CountTable | None = None,
-    workers: int = 1,
 ) -> UniformityReport:
     """Pearson goodness-of-fit of the sampler against the uniform distribution.
 
@@ -249,7 +244,7 @@ def chi_square_uniformity(
 
     counts = Counter(
         to_newick(t)
-        for t in sample_batch(k, n, samples, base_seed, workers=workers, table=table)
+        for t in sample_batch(k, n, samples, base_seed, table=table)
     )
     unknown = set(counts) - set(support)
     if unknown:

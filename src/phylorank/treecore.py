@@ -9,7 +9,8 @@ serialization is deterministic.  The three trees on {1,2,3} with k=2 thus
 serialize as ``((1,2),3);``, ``((1,3),2);`` and ``((2,3),1);``.
 
 The *rank* of a vertex is its distance to the nearest descendant leaf: leaves
-have rank 0, parents of leaves have rank 1, and so on.
+have rank 0, parents of leaves have rank 1, and so on.  It depends only on the
+subtree, so every vertex records it when built (``Vertex.rank``).
 
 All traversals are iterative; trees with thousands of leaves (and hence
 potentially very deep spines) are safe to process.
@@ -18,7 +19,8 @@ potentially very deep spines) are safe to process.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from fractions import Fraction
+from typing import Iterable, Iterator
 
 from .errors import DomainError, InvalidTreeError, NewickParseError
 
@@ -30,13 +32,14 @@ class Vertex:
     :func:`internal` instead of calling the constructor directly.
     """
 
-    __slots__ = ("label", "children", "min_label", "size")
+    __slots__ = ("label", "children", "min_label", "size", "rank")
 
-    def __init__(self, label, children, min_label, size):
+    def __init__(self, label, children, min_label, size, rank):
         self.label = label
         self.children = children
         self.min_label = min_label
         self.size = size  # number of leaves in the subtree
+        self.rank = rank  # distance to the nearest descendant leaf
 
     @property
     def is_leaf(self) -> bool:
@@ -56,7 +59,7 @@ def leaf(label: int) -> Vertex:
     """A leaf vertex carrying ``label`` (a positive integer)."""
     if not isinstance(label, int) or isinstance(label, bool) or label < 1:
         raise DomainError(f"leaf labels must be positive integers, got {label!r}")
-    return Vertex(label, (), label, 1)
+    return Vertex(label, (), label, 1, 0)
 
 
 def internal(children) -> Vertex:
@@ -68,13 +71,19 @@ def internal(children) -> Vertex:
     kids = tuple(sorted(children, key=Vertex.sort_key))
     if not kids:
         raise DomainError("an internal vertex needs at least one child")
-    return Vertex(None, kids, min(c.min_label for c in kids), sum(c.size for c in kids))
+    return Vertex(
+        None,
+        kids,
+        min(c.min_label for c in kids),
+        sum(c.size for c in kids),
+        1 + min(c.rank for c in kids),
+    )
 
 
 class Tree:
     """A k-phylogenetic tree: a canonical root vertex plus its branching factor."""
 
-    __slots__ = ("root", "k", "_newick", "_ranks")
+    __slots__ = ("root", "k", "_newick", "_members")
 
     def __init__(self, root: Vertex, k: int):
         if not isinstance(k, int) or k < 2:
@@ -82,7 +91,7 @@ class Tree:
         self.root = root
         self.k = k
         self._newick = None
-        self._ranks = None
+        self._members = None  # ids of this tree's vertices, built on demand
 
     def vertices(self) -> Iterator[Vertex]:
         """All vertices in preorder (iterative)."""
@@ -99,23 +108,11 @@ class Tree:
 
     @property
     def n_leaves(self) -> int:
-        return sum(1 for v in self.vertices() if v.is_leaf)
+        return self.root.size
 
     @property
     def n_vertices(self) -> int:
         return sum(1 for _ in self.vertices())
-
-    def _rank_map(self) -> dict[int, int]:
-        if self._ranks is None:
-            ranks: dict[int, int] = {}
-            order = list(self.vertices())
-            for v in reversed(order):  # children precede parents
-                if v.is_leaf:
-                    ranks[id(v)] = 0
-                else:
-                    ranks[id(v)] = 1 + min(ranks[id(c)] for c in v.children)
-            self._ranks = ranks
-        return self._ranks
 
     def __eq__(self, other):
         if not isinstance(other, Tree):
@@ -131,21 +128,51 @@ class Tree:
 
 @dataclass(frozen=True)
 class RankCensus:
-    """Per-rank vertex counts of a single tree.
+    """Vertex counts by rank at one (k, n): over every tree on {1..n}
+    (``CountTable.rank_census``, ``brute_census``) or over one tree (``census_of``).
 
-    ``by_rank[i]`` counts vertices of rank exactly ``i`` for ``i <= max_rank``;
-    vertices of higher rank are aggregated into ``tail``.
+    ``exact[i]`` counts vertices of rank exactly i for i <= max_rank,
+    ``ratios[i]`` divides it by ``total``, and ``tail`` counts the vertices of
+    higher rank.  A census of no vertices (inadmissible n) is empty: ``exact``
+    and ``ratios`` are ``()``.
     """
 
-    by_rank: dict[int, int]
+    k: int
+    n: int
+    exact: tuple[int, ...]
+    ratios: tuple[Fraction, ...]
     tail: int
     total: int
 
+    @property
+    def max_rank(self) -> int:
+        return len(self.exact) - 1
+
     def count_rank_ge(self, i: int) -> int:
-        """Vertices of rank >= i.  Only defined for i <= max_rank + 1."""
-        if i > len(self.by_rank):
-            raise DomainError(f"census only covers ranks up to {len(self.by_rank) - 1}")
-        return self.total - sum(self.by_rank.get(j, 0) for j in range(i))
+        """Vertices of rank >= i.  Defined for i <= max_rank + 1, and for
+        every i when the census is empty."""
+        if self.total and i > len(self.exact):
+            raise DomainError(f"census only covers ranks up to {self.max_rank}")
+        return self.total - sum(self.exact[:i])
+
+    @classmethod
+    def of_trees(cls, k: int, n: int, trees: Iterable[Tree], max_rank: int) -> "RankCensus":
+        """Census of every vertex of ``trees``, all on leaf set {1..n}."""
+        if max_rank < 0:
+            raise DomainError("max_rank must be >= 0")
+        exact = [0] * (max_rank + 1)
+        tail = total = 0
+        for tree in trees:
+            for v in tree.vertices():
+                total += 1
+                if v.rank <= max_rank:
+                    exact[v.rank] += 1
+                else:
+                    tail += 1
+        if not total:
+            return cls(k=k, n=n, exact=(), ratios=(), tail=0, total=0)
+        ratios = tuple(Fraction(e, total) for e in exact)
+        return cls(k=k, n=n, exact=tuple(exact), ratios=ratios, tail=tail, total=total)
 
 
 def validate(tree: Tree) -> str | None:
@@ -182,26 +209,16 @@ def is_valid(tree: Tree) -> bool:
 
 def rank_of(tree: Tree, vertex: Vertex) -> int:
     """Rank of ``vertex``: distance to its nearest descendant leaf."""
-    ranks = tree._rank_map()
-    try:
-        return ranks[id(vertex)]
-    except KeyError:
-        raise DomainError("vertex does not belong to this tree") from None
+    if tree._members is None:
+        tree._members = frozenset(id(v) for v in tree.vertices())
+    if id(vertex) not in tree._members:
+        raise DomainError("vertex does not belong to this tree")
+    return vertex.rank
 
 
 def census_of(tree: Tree, max_rank: int) -> RankCensus:
     """Count vertices of each rank 0..max_rank; higher ranks go into the tail."""
-    if max_rank < 0:
-        raise DomainError("max_rank must be >= 0")
-    ranks = tree._rank_map()
-    by_rank = {i: 0 for i in range(max_rank + 1)}
-    tail = 0
-    for r in ranks.values():
-        if r <= max_rank:
-            by_rank[r] += 1
-        else:
-            tail += 1
-    return RankCensus(by_rank=by_rank, tail=tail, total=len(ranks))
+    return RankCensus.of_trees(tree.k, tree.n_leaves, (tree,), max_rank)
 
 
 def to_newick(tree: Tree) -> str:

@@ -203,7 +203,7 @@ def test_brute_force_equivalence_small():
                 assert table.rank_ge_count(i, n) == brute.count_rank_ge(i)
             census = table.rank_census(n, 3)
             if census.exact:
-                assert census.exact == tuple(brute.by_rank[i] for i in range(4))
+                assert census.exact == brute.exact
 
 
 def test_verify_to_does_not_change_values():
@@ -268,6 +268,24 @@ def test_limit_distribution_invariants():
         assert prev.point_prob > 0
     # points telescope: their sum through rank i plus the tail at i+1 is 1
     assert sum(e.point_prob for e in dist.entries) + rank_ge_limit(3, 5) == 1
+
+
+def test_power_bound_refuses_ranks_just_over_it():
+    from phylorank.exactcount import MAX_POWER_BITS, _bounded_c, _point_prob_pair
+
+    # at k=2, k**c_i has c_i = 2^i - 1 bits: rank 25 is the last one under 2^25
+    assert MAX_POWER_BITS == 2**25
+    assert rank_ge_limit(2, 25).denominator.bit_length() == 2**25
+    with pytest.raises(DomainError, match="bits"):
+        rank_ge_limit(2, 26)
+    for refused in (rank_eq_limit, limit_distribution, _point_prob_pair):
+        with pytest.raises(DomainError, match="bits"):
+            refused(2, 25)  # each needs k**c_26
+    # a huge rank is refused from i and k alone, before any power is formed
+    with pytest.raises(DomainError, match="bits"):
+        rank_ge_limit(3, 10**12)
+    # criterion 8 needs k**c_6 at k=20, about 14.6M bits
+    assert _bounded_c(20, 6) == c_index(20, 6)
 
 
 # ------------------------------------------------------------ log-concavity

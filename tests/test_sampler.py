@@ -4,7 +4,7 @@ import pytest
 
 from phylorank.errors import ConsistencyError, DomainError, TableCoverageError
 from phylorank.exactcount import CountTable
-from phylorank.sampler import SamplerState, sample_batch, sample_uniform
+from phylorank.sampler import sample_batch
 from phylorank.treecore import to_newick, validate
 
 FIGURE_ONE = {"((1,2),3);", "((1,3),2);", "((2,3),1);"}
@@ -16,51 +16,33 @@ def table():
 
 
 def test_single_leaf(table):
-    state = SamplerState(table, seed=5)
-    tree = sample_uniform(2, 1, state)
+    (tree,) = sample_batch(2, 1, 1, base_seed=5, table=table)
     assert to_newick(tree) == "1;"
 
 
 def test_n3_support(table):
-    state = SamplerState(table, seed=5)
-    for _ in range(30):
-        assert to_newick(sample_uniform(2, 3, state)) in FIGURE_ONE
+    for tree in sample_batch(2, 3, 30, base_seed=5, table=table):
+        assert to_newick(tree) in FIGURE_ONE
 
 
-def test_state_counter_advances_and_determines(table):
-    s1 = SamplerState(table, seed=123)
-    first = [to_newick(sample_uniform(2, 9, s1)) for _ in range(5)]
-    assert s1.counter == 5
-    s2 = SamplerState(table, seed=123)
-    again = [to_newick(sample_uniform(2, 9, s2)) for _ in range(5)]
+def test_batch_reproducible(table):
+    first = [to_newick(t) for t in sample_batch(2, 9, 5, base_seed=123, table=table)]
+    again = [to_newick(t) for t in sample_batch(2, 9, 5, base_seed=123, table=table)]
     assert first == again
-    # different counters generally give different trees at this size
+    # different sample indices generally give different trees at this size
     assert len(set(first)) > 1
 
 
-def test_state_counter_offset(table):
-    s1 = SamplerState(table, seed=123, counter=3)
-    s2 = SamplerState(table, seed=123)
-    for _ in range(3):
-        sample_uniform(2, 9, s2)
-    assert to_newick(sample_uniform(2, 9, s1)) == to_newick(sample_uniform(2, 9, s2))
-
-
-def test_batch_equals_state_sequence(table):
-    batch = [to_newick(t) for t in sample_batch(2, 9, 8, base_seed=4, table=table)]
-    state = SamplerState(table, seed=4)
-    seq = [to_newick(sample_uniform(2, 9, state)) for _ in range(8)]
-    assert batch == seq
+def test_batch_prefix_determinism(table):
+    # sample j depends only on (base_seed, j): a batch's first m trees are
+    # the batch of count m
+    long = [to_newick(t) for t in sample_batch(2, 9, 8, base_seed=4, table=table)]
+    for m in (1, 4, 8):
+        assert [to_newick(t) for t in sample_batch(2, 9, m, base_seed=4, table=table)] == long[:m]
 
 
 def test_batch_empty(table):
     assert list(sample_batch(2, 5, 0, base_seed=1, table=table)) == []
-
-
-def test_batch_worker_invariance(table):
-    one = [to_newick(t) for t in sample_batch(2, 17, 60, base_seed=99, workers=1, table=table)]
-    eight = [to_newick(t) for t in sample_batch(2, 17, 60, base_seed=99, workers=8, table=table)]
-    assert one == eight  # even the order matches, not just the multiset
 
 
 def test_batch_builds_table_when_missing():
@@ -92,9 +74,8 @@ def test_every_support_tree_reachable(table):
 
 
 def test_inadmissible_rejected(table):
-    state = SamplerState(CountTable(3, 8), seed=1)
     with pytest.raises(DomainError):
-        sample_uniform(3, 4, state)
+        list(sample_batch(3, 4, 1, base_seed=1, table=CountTable(3, 8)))
     with pytest.raises(DomainError):
         list(sample_batch(3, 4, 2, base_seed=1))
 
@@ -105,21 +86,26 @@ def test_table_too_small(table):
 
 
 def test_k_mismatch(table):
-    state = SamplerState(table, seed=1)
-    with pytest.raises(DomainError):
-        sample_uniform(3, 7, state)
+    with pytest.raises(DomainError, match="k=2"):
+        list(sample_batch(3, 7, 1, base_seed=1, table=table))
 
 
 def test_bad_arguments(table):
     with pytest.raises(DomainError):
         list(sample_batch(2, 5, -1, base_seed=1, table=table))
-    with pytest.raises(DomainError):
-        list(sample_batch(2, 5, 5, base_seed=1, workers=0, table=table))
 
 
-def test_composition_total_tripwire():
-    # corrupting the table's forest weights must be caught before sampling
-    bad = CountTable(2, 12)
-    bad._g[2][6] += 1
-    with pytest.raises(ConsistencyError):
-        list(sample_batch(2, 6, 1, base_seed=1, table=bad))
+def test_composition_total_tripwire(monkeypatch):
+    # the sampler's weights g_k must sum to k! * t at every n, also above
+    # verify_to: a table whose closed g_k is corrupt there refuses to build
+    closed = CountTable._closed_g_array
+
+    def corrupt(self, j):
+        arr = closed(self, j)
+        if j == self.k:
+            arr[6] += 1
+        return arr
+
+    monkeypatch.setattr(CountTable, "_closed_g_array", corrupt)
+    with pytest.raises(ConsistencyError, match="n=6"):
+        CountTable(2, 12, verify_to=3)

@@ -127,26 +127,26 @@ def test_rank_of_unknown_vertex():
 
 def test_census_single_leaf():
     c = census_of(from_newick("1;", 2), 2)
-    assert c.by_rank == {0: 1, 1: 0, 2: 0}
+    assert c.exact == (1, 0, 0)
     assert c.total == 1
 
 
 def test_census_balanced():
     c = census_of(from_newick("((1,2),(3,4));", 2), 2)
-    assert c.by_rank == {0: 4, 1: 2, 2: 1}
+    assert c.exact == (4, 2, 1)
     assert c.tail == 0
 
 
 def test_census_caterpillar():
     c = census_of(from_newick("(((1,2),3),4);", 2), 1)
-    assert c.by_rank == {0: 4, 1: 3}
+    assert c.exact == (4, 3)
     assert c.tail == 0
     assert c.count_rank_ge(1) == 3
 
 
 def test_census_tail_bucket():
     c = census_of(from_newick("((1,2),(3,4));", 2), 0)
-    assert c.by_rank == {0: 4}
+    assert c.exact == (4,)
     assert c.tail == 3
 
 
