@@ -34,8 +34,8 @@ def main():
 
     print("\n=== root-rank and rank-at-least series vs the integer recurrences ===")
     table = CountTable(2, order)
-    R2 = oracle_R(2, 2, order, T)
-    M1 = oracle_M(2, 1, order, T)
+    R2 = oracle_R(2, 2, order)
+    M1 = oracle_M(2, 1, order)
     print("  n! [x^n] T^(k^2)/k!^(c_2) vs r_2(n), n=4..8:",
           all(R2.labeled(n) == table.root_rank_count(2, n) for n in range(4, 9)))
     print("  n! [x^n] M_1 vs m_1(n), n=1..%d:" % order,

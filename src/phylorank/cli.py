@@ -14,16 +14,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import log10
 from typing import Sequence
 
 from . import bruteforce, seriesoracle, stats
 from .errors import ConsistencyError, DomainError, PhyloRankError
-from .exactcount import CountTable, is_admissible, limit_distribution
+from .exactcount import CountTable, c_index, is_admissible, limit_distribution
 from .render import decimal_str, fraction_str
 from .sampler import sample_batch
 from .treecore import RankCensus, to_newick
 
 LARGE_TABLE_VERIFY_TO = 501  # bound for the quadratic cross-checks on huge tables
+# largest integer ``limits`` prints, in digits: rendering is quadratic in the
+# digit count (about 2 s for k=2, rank 18: 157,826 digits)
+LIMITS_MAX_DIGITS = 200_000
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -79,6 +83,11 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_limits(args) -> int:
+    k, i = args.k, args.max_rank + 1
+    # the largest printed integer, k**c_i, has c_i*log10(k) digits; c_i >=
+    # k**(i-1), so a large rank is refused before k**i is formed
+    if k >= 2 and i >= 1 and ((i - 1) * log10(k) > 20 or c_index(k, i) * log10(k) > LIMITS_MAX_DIGITS):
+        raise DomainError(f"k**c_{i} at k={k} would print more than {LIMITS_MAX_DIGITS} digits")
     dist = limit_distribution(args.k, args.max_rank)
     if args.format == "json":
         payload = {
@@ -199,13 +208,12 @@ def _cmd_verify(args) -> int:
         _emit("".join(line + "\n" for line in dump_lines), args.dump_newick)
 
     # series identities at the requested truncation order
-    T = seriesoracle.solve_T(k, order)
     check(f"compositional inverse through order {order}", seriesoracle.verify_inverse(k, order))
     for i in range(3):
-        R = seriesoracle.oracle_R(k, i, order, T)
+        R = seriesoracle.oracle_R(k, i, order)
         ok = all(R.labeled(n) == table.root_rank_count(i, n) for n in range(1, order + 1))
         check(f"root-rank series identity i={i}", ok)
-        M = seriesoracle.oracle_M(k, i, order, T)
+        M = seriesoracle.oracle_M(k, i, order)
         ok = all(M.labeled(n) == table.rank_ge_count(i, n) for n in range(1, order + 1))
         check(f"rank-at-least series identity i={i}", ok)
         check(

@@ -444,24 +444,18 @@ class CountTable:
 
     def _verify_g_tower(self) -> None:
         """Re-derive the forest tower by convolution from the tree counts and
-        compare with the closed forms, through verify_to."""
+        compare with the closed forms, through verify_to.  With g_k = k! * t
+        (the composition totals), it re-derives t by root removal."""
         upto = self.verify_to
-        prev = self._t[: upto + 1]
+        conv = self._t[: upto + 1]
         for j in range(2, self.k + 1):
-            conv = self._binomial_convolution(self._t, prev, upto)
+            conv = self._binomial_convolution(self._t, conv, upto)
             for n in range(1, upto + 1):
                 if conv[n] != self._g[j][n]:
                     raise ConsistencyError(
                         f"ordered {j}-forest count at n={n}: convolution {conv[n]} "
                         f"!= closed form {self._g[j][n]}"
                     )
-            prev = conv
-        # the k-fold product recovers k! times the tree count (root removal)
-        for n in range(2, upto + 1):
-            if prev[n] != self._kfac * self._t[n]:
-                raise ConsistencyError(
-                    f"tree count at n={n}: recurrence {prev[n]} != k! * closed {self._t[n]}"
-                )
 
     def _verify_composition_totals(self) -> None:
         """The ordered k-forest counts (the sampler's composition weights) must

@@ -191,26 +191,24 @@ def verify_inverse(k: int, order: int) -> bool:
     return F_of_T == TruncatedSeries.x(order)
 
 
-def oracle_R(k: int, i: int, order: int, T: TruncatedSeries | None = None) -> TruncatedSeries:
+def oracle_R(k: int, i: int, order: int) -> TruncatedSeries:
     """Root-rank series: trees whose root has rank >= i, as T^(k^i) / k!^(c_i)."""
     if i < 0:
         raise DomainError("rank must be >= 0")
-    if T is None:
-        T = solve_T(k, order)
+    T = solve_T(k, order)
     return (T ** (k**i)) * Fraction(1, factorial(k) ** c_index(k, i))
 
 
-def oracle_M(k: int, i: int, order: int, T: TruncatedSeries | None = None) -> TruncatedSeries:
+def oracle_M(k: int, i: int, order: int) -> TruncatedSeries:
     """Rank->=i vertex series: R_i / (1 - T^(k-1)/(k-1)!), evaluated exactly.
 
     n! times its x^n coefficient counts vertices of rank at least i over all
     trees on {1..n}.
     """
-    if T is None:
-        T = solve_T(k, order)
+    T = solve_T(k, order)
     one = TruncatedSeries.one(order)
     denom = one - (T ** (k - 1)) * Fraction(1, factorial(k - 1))
-    return oracle_R(k, i, order, T) / denom
+    return oracle_R(k, i, order) / denom
 
 
 def verify_theorem_decomposition(k: int, i: int, order: int) -> bool:

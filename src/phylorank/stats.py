@@ -15,6 +15,7 @@ report is reproducible from its seed.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -170,15 +171,37 @@ def estimate_rank_distribution(
 # ------------------------------------------------------------- chi-square
 
 
+def _chi_square_sf(x: float, df: int) -> float:
+    """P(X > x) for chi-square X, integer df > 0, x > 0 (Abramowitz & Stegun
+    26.4): erfc(sqrt(x/2)) if df is odd, plus (x/2)^s e^(-x/2) / Gamma(s+1) for
+    s = df%2/2 + j, j < df//2, each term formed in log space so none overflows."""
+    y = x / 2
+    half = (df % 2) / 2
+    terms = [
+        math.exp((j + half) * math.log(y) - y - math.lgamma(j + half + 1))
+        for j in range(df // 2)
+    ]
+    if half:
+        terms.append(math.erfc(math.sqrt(y)))
+    return math.fsum(terms)
+
+
 def chi_square_critical(significance: float, df: int) -> float:
-    """Upper critical value of the chi-square distribution (via scipy)."""
+    """Upper critical value of the chi-square distribution: the x with
+    P(X > x) = significance, by bisection until the bracket stops shrinking."""
     if df < 1:
         raise DomainError("degrees of freedom must be >= 1")
     if not 0 < significance < 1:
         raise DomainError("significance must be in (0, 1)")
-    from scipy.stats import chi2
-
-    return float(chi2.isf(significance, df))
+    lo, hi = 0.0, float(df)
+    while _chi_square_sf(hi, df) > significance:
+        lo, hi = hi, 2 * hi
+    while lo < (mid := (lo + hi) / 2) < hi:
+        if _chi_square_sf(mid, df) > significance:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 @dataclass(frozen=True)
@@ -194,29 +217,6 @@ class UniformityReport:
     statistic: float
     critical: float
     passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "n": self.n,
-            "samples": self.samples,
-            "seed": self.seed,
-            "significance": self.significance,
-            "support": self.support,
-            "df": self.df,
-            "statistic": self.statistic,
-            "statistic_exact": fraction_str(self.statistic_exact),
-            "critical": self.critical,
-            "passed": self.passed,
-        }
-
-    def to_tsv(self) -> str:
-        header = "k\tn\tsamples\tseed\tsupport\tdf\tstatistic\tcritical\tpassed"
-        row = (
-            f"{self.k}\t{self.n}\t{self.samples}\t{self.seed}\t{self.support}\t"
-            f"{self.df}\t{self.statistic:.6f}\t{self.critical:.6f}\t{self.passed}"
-        )
-        return header + "\n" + row + "\n"
 
 
 def chi_square_uniformity(

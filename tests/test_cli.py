@@ -1,12 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from phylorank import exactcount
+from phylorank import cli, exactcount
 from phylorank.cli import main
+from phylorank.exactcount import LimitDistribution
 
-SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "cli_output.schema.json"
+ROOT = Path(__file__).resolve().parent.parent
+SCHEMA_PATH = ROOT / "docs" / "cli_output.schema.json"
 FIGURE_ONE = {"((1,2),3);", "((1,3),2);", "((2,3),1);"}
 
 
@@ -167,6 +172,20 @@ def test_verify_ternary(capsys):
     assert out.strip().splitlines()[-1] == "PASS"
 
 
+def test_verify_runs_without_scipy():
+    # a fresh interpreter, because a test session may already have scipy loaded
+    script = (
+        "import sys; sys.modules['scipy'] = None; from phylorank.cli import main; "
+        "sys.exit(main(['verify', '--k', '2', '--n-max', '4', '--order', '12']))"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    assert lines and all(line.startswith("PASS") for line in lines)
+
+
 def test_verify_dump_newick(capsys, tmp_path):
     dump = tmp_path / "trees.nwk"
     code, _, _ = run(capsys, "verify", "--k", "2", "--n-max", "4", "--order", "12",
@@ -205,6 +224,23 @@ def test_limits_power_bound_exit_code(capsys, monkeypatch):
     code, out, err = run(capsys, "limits", "--k", "2", "--max-rank", "7")
     assert code == 2 and out == ""
     assert "bits" in err
+
+
+@pytest.mark.parametrize("k, last_admitted", [(2, 18), (3, 11)])
+def test_limits_digit_bound(capsys, monkeypatch, k, last_admitted):
+    # k=2, rank 18 prints 157,826 digits; the bound is decided from k and the
+    # rank alone, so the values are never built on either side of it
+    def refuse(k, max_rank):
+        raise AssertionError("limit_distribution must not be reached")
+
+    monkeypatch.setattr(cli, "limit_distribution", refuse)
+    for refused in (last_admitted + 1, 10**12):
+        code, out, err = run(capsys, "limits", "--k", str(k), "--max-rank", str(refused))
+        assert code == 2 and out == ""
+        assert "digits" in err
+    monkeypatch.setattr(cli, "limit_distribution", lambda k, max_rank: LimitDistribution(k, ()))
+    code, out, _ = run(capsys, "limits", "--k", str(k), "--max-rank", str(last_admitted))
+    assert code == 0 and out.startswith("rank\tc")
 
 
 def test_removed_workers_option_is_a_usage_error():

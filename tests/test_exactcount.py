@@ -386,3 +386,31 @@ def test_dual_route_tripwire_fires_on_corruption():
     table._fkm1[3] += 1
     with pytest.raises(ConsistencyError):
         table.rank_ge_count(1, 8)
+
+
+def test_forest_tower_check_fires_on_corruption(monkeypatch):
+    # k=3: a corrupt closed g_2 leaves the composition totals (g_3 = 3! * t)
+    # intact; only the convolution g_2 = g_1 * g_1 can see it
+    closed = CountTable._closed_g_array
+
+    def corrupt(self, j):
+        arr = closed(self, j)
+        if j == 2:
+            arr[6] += 1
+        return arr
+
+    monkeypatch.setattr(CountTable, "_closed_g_array", corrupt)
+    with pytest.raises(ConsistencyError, match="2-forest count at n=6"):
+        CountTable(3, 12)
+
+
+def test_root_rank_check_fires_on_corruption(monkeypatch):
+    closed = CountTable._closed_r
+
+    def corrupt(self, i, n):
+        return closed(self, i, n) + (i == 1 and n == 6)
+
+    monkeypatch.setattr(CountTable, "_closed_r", corrupt)
+    table = CountTable(2, 12)
+    with pytest.raises(ConsistencyError, match=r"r_1\(6\)"):
+        table.root_rank_count(1, 12)

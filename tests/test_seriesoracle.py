@@ -78,9 +78,8 @@ def test_oracle_M_ternary(table_k3):
 def test_oracle_R_identity(table_k2, table_k3):
     for table in (table_k2, table_k3):
         k = table.k
-        T = solve_T(k, 24)
         for i in range(3):
-            R = oracle_R(k, i, 24, T)
+            R = oracle_R(k, i, 24)
             for n in range(1, 25):
                 assert R.labeled(n) == table.root_rank_count(i, n)
 

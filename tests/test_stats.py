@@ -87,6 +87,21 @@ def test_chi_square_critical_values():
     assert chi_square_critical(0.001, 104) == pytest.approx(154.3141, abs=2e-4)
 
 
+def test_chi_square_critical_matches_reference_quantiles():
+    chi2 = pytest.importorskip("scipy.stats").chi2
+    for df in range(1, 301):
+        for significance in (1e-6, 0.001, 0.01, 0.05, 0.5):
+            expected = chi2.isf(significance, df)
+            got = chi_square_critical(significance, df)
+            assert abs(got - expected) <= 1e-10 * expected, (significance, df)
+
+
+def test_chi_square_critical_domain_errors():
+    for significance, df in ((0.05, 0), (0.0, 3), (1.0, 3)):
+        with pytest.raises(DomainError):
+            chi_square_critical(significance, df)
+
+
 def test_chi_square_single_support_trivial_pass(table):
     report = chi_square_uniformity(2, 2, samples=10, base_seed=1, table=table)
     assert report.support == 1 and report.df == 0
@@ -125,13 +140,6 @@ def test_chi_square_support_cap(table):
 def test_chi_square_inadmissible():
     with pytest.raises(DomainError):
         chi_square_uniformity(3, 4, samples=10, base_seed=1)
-
-
-def test_chi_square_serialization(table):
-    report = chi_square_uniformity(2, 3, samples=300, base_seed=4, table=table)
-    payload = report.to_json_dict()
-    assert payload["df"] == 2 and isinstance(payload["passed"], bool)
-    assert report.to_tsv().count("\n") == 2
 
 
 # -------------------------------------------------------------- convergence
