@@ -368,8 +368,14 @@ class CountTable:
             for b, v in enumerate(self._g[k - 1])
         ] if k > 2 else list(self._t)
 
-        self._r: dict[int, list[int]] = {0: self._t}
-        self._m: dict[int, list[int]] = {}
+        # the tallest possible rank: a vertex of rank i has at least k^i
+        # descendant leaves, so every rank above it shares one zero sequence
+        self._top_rank = 0
+        while k ** (self._top_rank + 1) <= n_max:
+            self._top_rank += 1
+        self._zeros = (0,) * (n_max + 1)
+        self._r: dict[int, Sequence[int]] = {0: self._t}
+        self._m: dict[int, Sequence[int]] = {}
         self._extra_g: dict[int, list[int]] = {}
         self._lock = threading.RLock()
 
@@ -469,9 +475,6 @@ class CountTable:
                 )
 
     def _build_r(self, i: int) -> list[int]:
-        if self.k**i > self.n_max:
-            # a root of rank i needs k^i descendant leaves
-            return [0] * (self.n_max + 1)
         prev = self._r[i - 1]
         closed = [0] + [self._closed_r(i, n) for n in range(1, self.n_max + 1)]
         # recurrence: k-fold labeled product of the previous sequence, / k!
@@ -490,9 +493,6 @@ class CountTable:
         return closed
 
     def _build_m(self, i: int) -> list[int]:
-        if i > 0 and self.k**i > self.n_max:
-            # a vertex of rank i needs k^i descendant leaves
-            return [0] * (self.n_max + 1)
         r_i = self._get_r(i)
         fkm1 = self._fkm1
         m = [0] * (self.n_max + 1)
@@ -514,7 +514,9 @@ class CountTable:
             m[n] = acc
         return m
 
-    def _get_r(self, i: int) -> list[int]:
+    def _get_r(self, i: int) -> Sequence[int]:
+        if i > self._top_rank:
+            return self._zeros
         if i not in self._r:
             with self._lock:
                 for j in range(1, i + 1):
@@ -522,7 +524,9 @@ class CountTable:
                         self._r[j] = self._build_r(j)
         return self._r[i]
 
-    def _get_m(self, i: int) -> list[int]:
+    def _get_m(self, i: int) -> Sequence[int]:
+        if i > self._top_rank:
+            return self._zeros
         if i not in self._m:
             with self._lock:
                 if i not in self._m:
@@ -556,27 +560,31 @@ class CountTable:
         if not isinstance(j, int) or j < 1:
             raise DomainError(f"forest size must be an integer >= 1, got {j!r}")
         self._check_cover(n)
+        if j > n:
+            return 0  # a j-forest has at least j leaves
         if j <= self.k:
             g = self._g[j][n]
-        elif j in self._extra_g:
-            g = self._extra_g[j][n]
         else:
             with self._lock:
-                if j not in self._extra_g:
-                    arr = self._closed_g_array(j)
-                    # cross-check against one further convolution step
-                    base = self._g[self.k] if j == self.k + 1 else self._extra_g.get(j - 1)
-                    if base is not None:
-                        conv = self._binomial_convolution(self._t, base, self.verify_to)
-                        for nn in range(1, self.verify_to + 1):
-                            if conv[nn] != arr[nn]:
-                                raise ConsistencyError(
-                                    f"ordered {j}-forest count at n={nn}: "
-                                    f"convolution {conv[nn]} != closed {arr[nn]}"
-                                )
-                    self._extra_g[j] = arr
+                # each closed g_h is checked against t * g_{h-1}, so the
+                # tower is built upward from g_k
+                for h in range(self.k + 1, j + 1):
+                    if h not in self._extra_g:
+                        self._extra_g[h] = self._checked_forest_counts(h)
             g = self._extra_g[j][n]
         return _exact_div(g, factorial(j), f"unordered {j}-forest count at n={n}")
+
+    def _checked_forest_counts(self, j: int) -> list[int]:
+        arr = self._closed_g_array(j)
+        base = self._g[self.k] if j == self.k + 1 else self._extra_g[j - 1]
+        conv = self._binomial_convolution(self._t, base, self.verify_to)
+        for n in range(1, self.verify_to + 1):
+            if conv[n] != arr[n]:
+                raise ConsistencyError(
+                    f"ordered {j}-forest count at n={n}: "
+                    f"convolution {conv[n]} != closed {arr[n]}"
+                )
+        return arr
 
     def root_rank_count(self, i: int, n: int) -> int:
         """r_{i,k}(n): trees on {1..n} whose root has rank at least i."""

@@ -1,13 +1,16 @@
 """Exactly uniform random generation of k-phylogenetic trees.
 
 The generator inverts the root-removal decomposition: an internal node over a
-label block of size m picks the ordered sizes of its k sub-blocks with
+block of m leaves picks the ordered sizes of its k sub-blocks with
 probability proportional to  multinomial(m; sizes) * product of subtree
-counts, assigns labels by a uniform shuffle, and recurses.  Every draw uses
-exact integer cumulative weights against a uniform big integer, so there is
-no floating-point bias at any size.  Forgetting the order of children is
-harmless: sibling subtrees carry disjoint label sets, so each unordered set
-of k children corresponds to exactly k! ordered tuples.
+counts, and recurses.  Every draw uses exact integer cumulative weights
+against a uniform big integer, so there is no floating-point bias at any
+size.  Labels come from one uniform permutation of {1..n} per tree, and each
+block is a contiguous range of it.  A contiguous slice of a uniform
+permutation is a uniform ordering of its block, so each ordered labelled
+tree has probability 1/(k!^s * t(n)).  Forgetting the order
+of children is harmless: sibling subtrees carry disjoint label sets, so each
+unordered set of k children corresponds to exactly k! ordered tuples.
 
 Reproducibility: sample index j derives its own generator from
 (base_seed, j) through a keyed hash, so a batch is one fixed sequence of
@@ -99,30 +102,25 @@ def _attach(frame: _Frame, node: Vertex) -> None:
         frame = frame.parent
 
 
-def _build_root(g: Sequence[Sequence[int]], labels: list[int], rng: random.Random) -> Vertex:
+def _build_root(g: Sequence[Sequence[int]], n: int, rng: random.Random) -> Vertex:
     k = len(g) - 1
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
     sentinel = _Frame(parent=None, expect=1)
-    work: list[tuple[list[int], _Frame]] = [(labels, sentinel)]
+    # (start, size, parent): the block perm[start:start+size] under parent
+    work: list[tuple[int, int, _Frame]] = [(0, n, sentinel)]
     while work:
-        block, parent = work.pop()
-        if len(block) == 1:
-            _attach(parent, leaf(block[0]))
+        start, m, parent = work.pop()
+        if m == 1:
+            _attach(parent, leaf(perm[start]))
             continue
-        m = len(block)
-        sizes = []
-        rem = m
-        for slots in range(k, 1, -1):
-            a = _draw_block_size(g, rem, slots, rng)
-            sizes.append(a)
-            rem -= a
-        sizes.append(rem)
-        shuffled = list(block)
-        rng.shuffle(shuffled)
         frame = _Frame(parent=parent, expect=k)
-        pos = 0
-        for sz in sizes:
-            work.append((shuffled[pos : pos + sz], frame))
-            pos += sz
+        for slots in range(k, 1, -1):
+            a = _draw_block_size(g, m, slots, rng)
+            work.append((start, a, frame))
+            start += a
+            m -= a
+        work.append((start, m, frame))
     return sentinel.children[0]
 
 
@@ -152,6 +150,5 @@ def sample_batch(
         raise DomainError(f"table was built for k={table.k}, not k={k}")
     table.tree_count(n)  # raises unless the table covers n
     g = [()] + [table.ordered_forest_counts(j) for j in range(1, k + 1)]
-    labels = list(range(1, n + 1))
     for j in range(count):
-        yield Tree(_build_root(g, labels, _rng_for(base_seed, j)), k)
+        yield Tree(_build_root(g, n, _rng_for(base_seed, j)), k)

@@ -7,6 +7,7 @@ counterexamples); it is expected to fail and is marked xfail(strict) so the
 suite documents the refutation instead of hiding it.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -29,7 +30,7 @@ GRID = (3, 11, 101, 501, 1001, 2001)
 
 # chi-square 0.001-significance critical values, frozen from the quantile
 # routine before the build
-CRITICAL = {2: 13.8155, 14: 36.1233, 104: 154.3141}
+CRITICAL = {2: 13.8155, 14: 36.1233, 104: 154.3141, 279: 357.7288}
 
 
 def _report(name: str, ok: bool) -> bool:
@@ -157,17 +158,33 @@ def test_criterion_6_monte_carlo_limit_law(big_table_k2):
 # -------------------------------------------------------------- criterion 7
 
 
-@pytest.mark.parametrize("n,samples,df", [(3, 3000, 2), (4, 15000, 14), (5, 105000, 104)])
-def test_criterion_7_chi_square_uniformity(n, samples, df, table_k2):
-    report = chi_square_uniformity(2, n, samples, base_seed=CHI_SEED, table=table_k2)
+def _uniformity_passes(k, n, samples, df, table):
+    report = chi_square_uniformity(k, n, samples, base_seed=CHI_SEED, table=table)
     ok = report.df == df
     ok &= abs(report.critical - CRITICAL[df]) < 2e-3
     ok &= report.passed
-    assert _report(
-        f"criterion 7: chi-square at n={n}, {samples} samples (seed {CHI_SEED}): "
+    return _report(
+        f"criterion 7: chi-square at k={k}, n={n}, {samples} samples (seed {CHI_SEED}): "
         f"{report.statistic:.2f} < {report.critical:.2f} at significance 0.001",
         ok,
     )
+
+
+@pytest.mark.parametrize("n,samples,df", [(3, 3000, 2), (4, 15000, 14), (5, 105000, 104)])
+def test_criterion_7_chi_square_uniformity(n, samples, df, table_k2):
+    assert _uniformity_passes(2, n, samples, df, table_k2)
+
+
+def test_criterion_7_chi_square_uniformity_k3(table_k3):
+    # all 280 ternary trees on 7 leaves, about 100 samples each
+    assert _uniformity_passes(3, 7, 28000, 279, table_k3)
+
+
+def test_criterion_7_chi_square_rejects_unpermuted_labels(monkeypatch, table_k2):
+    # fault injection: labels left in order, the size draws untouched
+    monkeypatch.setattr(random.Random, "shuffle", lambda self, x: None)
+    report = chi_square_uniformity(2, 4, 1500, base_seed=CHI_SEED, table=table_k2)
+    assert not report.passed
 
 
 def test_criterion_7_batch_determinism(table_k2):

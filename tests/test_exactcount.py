@@ -1,4 +1,6 @@
+import tracemalloc
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -232,6 +234,30 @@ def test_huge_rank_is_all_zero(table_k2):
     assert table_k2.root_rank_count(30, 64) == 0
 
 
+@pytest.mark.parametrize("k,n,top", [(2, 64, 6), (3, 63, 3)])
+def test_tallest_rank_bound(k, n, top, request):
+    # a vertex of rank i has at least k^i descendant leaves, so at n_max = 64
+    # the tallest rank is floor(log_k 64); the rank just past it is all zero
+    table = request.getfixturevalue(f"table_k{k}")
+    assert table.root_rank_count(top, n) > 0
+    assert table.rank_ge_count(top, n) > 0
+    assert table.root_rank_count(top + 1, n) == 0
+    assert table.rank_ge_count(top + 1, n) == 0
+
+
+def test_ranks_past_the_tallest_share_one_zero_sequence():
+    # a stored zero sequence per rank would take about 7 MB here
+    table = CountTable(2, 64)
+    tracemalloc.start()
+    try:
+        census = table.rank_census(64, 10_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert census.exact[7:] == (0,) * (10_001 - 7)
+    assert peak < 2_000_000
+
+
 # ------------------------------------------------------------------ limits
 
 
@@ -402,6 +428,22 @@ def test_forest_tower_check_fires_on_corruption(monkeypatch):
     monkeypatch.setattr(CountTable, "_closed_g_array", corrupt)
     with pytest.raises(ConsistencyError, match="2-forest count at n=6"):
         CountTable(3, 12)
+
+
+def test_forest_count_checks_the_tower_below_it(monkeypatch):
+    # g_5 asked for first: g_3 and g_4 are built and checked on the way up,
+    # so the corrupt closed g_5 still meets the convolution t * g_4
+    closed = CountTable._closed_g_array
+
+    def corrupt(self, j):
+        arr = closed(self, j)
+        if j == 5:
+            arr[7] += factorial(5)
+        return arr
+
+    monkeypatch.setattr(CountTable, "_closed_g_array", corrupt)
+    with pytest.raises(ConsistencyError, match="5-forest count at n=7"):
+        CountTable(2, 10).forest_count(5, 7)
 
 
 def test_root_rank_check_fires_on_corruption(monkeypatch):
