@@ -68,7 +68,7 @@ def _cmd_census(args) -> int:
                     "rank": i,
                     "count": str(e),
                     "ratio": fraction_str(r),
-                    "ratio_decimal": decimal_str(r) if census.total else "0",
+                    "ratio_decimal": decimal_str(r),
                 }
                 for i, (e, r) in enumerate(zip(census.exact, census.ratios))
             ],

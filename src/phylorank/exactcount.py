@@ -5,11 +5,13 @@ Each counting sequence is computed along two independent routes:
 
 * closed forms obtained by coefficient extraction from the tree series
   (``coeff_T_pow`` and its consequences), and
-* integer convolution recurrences over labeled structures
+* labelled (binomial) convolution identities over labeled structures
   (root removal: a tree is a root plus an unordered set of k subtrees).
 
-A :class:`CountTable` cross-checks the two routes against each other while it
-fills; any disagreement or inexact division raises :class:`ConsistencyError`.
+A :class:`CountTable` stores the closed forms and checks each sequence
+against its identity before storing it; the class docstring says which
+identity checks which sequence, and over which n.  Any disagreement or
+inexact division raises :class:`ConsistencyError`.
 
 Notation used throughout: a tree on n leaves exists iff (n-1) is divisible by
 (k-1); then s = (n-1)/(k-1) counts internal vertices and k*s+1 all vertices.
@@ -324,14 +326,20 @@ def negligibility_ratio(k: int, power: int, n: int) -> Fraction:
 class CountTable:
     """All counting sequences for one branching factor k, exact through n_max.
 
-    Construction fills the tree counts and ordered-forest counts eagerly; the
-    root-rank and rank-at-least sequences are filled on first use (guarded by
-    a lock, so tables are safe to share across threads).
+    Every stored sequence is its closed form, checked against an identity
+    before it is stored (``*`` is the labelled convolution; one comparer,
+    ``_check_identity``, checks all three convolution identities):
 
-    ``verify_to`` bounds how far the quadratic-time convolution recurrences
-    are recomputed as cross-checks of the closed forms (default: everywhere).
-    The rank-at-least sequence keeps its convolution route at full depth; the
-    closed decomposition check runs alongside it at every n.
+    * forest tower ``g_j = t * g_{j-1}`` for n <= verify_to, with g_1 = t;
+      g_j for j <= k is built at construction, larger j by ``forest_count``;
+    * composition totals ``g_k = k! t`` at every n <= n_max;
+    * root ranks ``k! r_i = r_{i-1}^{*k}`` for n <= verify_to, with r_0 = t;
+    * rank-at-least ``m_i = r_i + m_i * f_{k-1}`` at every n <= n_max.
+
+    ``verify_to`` (default n_max) only bounds the quadratic-time checks of g
+    and r; every stored value is the closed form at every n.  r and m are
+    filled on first use (guarded by a lock, so tables are safe to share
+    across threads).
     """
 
     def __init__(self, k: int, n_max: int, verify_to: int | None = None):
@@ -355,14 +363,14 @@ class CountTable:
         for s in range(1, len(self._kfac_pows)):
             self._kfac_pows[s] = self._kfac_pows[s - 1] * self._kfac
 
-        # ordered j-forest counts g_j(n) = n! [x^n] T^j for j = 1..k, closed form
+        # ordered j-forest counts g_j(n) = n! [x^n] T^j, j = 1..k now, larger
+        # j on demand by forest_count
         self._g: dict[int, tuple[int, ...]] = {}
         for j in range(1, k + 1):
-            self._g[j] = tuple(self._closed_g_array(j))
+            self._g[j] = self._build_g(j)
         self._t = self._g[1]
-        self._verify_g_tower()
         self._verify_composition_totals()
-        # forests of k-1 trees (unordered), used by the rank-at-least recurrence
+        # forests of k-1 trees (unordered), used by the rank-at-least identity
         self._fkm1 = [
             _exact_div(v, self._km1fac, f"(k-1)-forest count at n={b}")
             for b, v in enumerate(self._g[k - 1])
@@ -376,7 +384,6 @@ class CountTable:
         self._zeros = (0,) * (n_max + 1)
         self._r: dict[int, Sequence[int]] = {0: self._t}
         self._m: dict[int, Sequence[int]] = {}
-        self._extra_g: dict[int, list[int]] = {}
         self._lock = threading.RLock()
 
     # ----- closed forms -------------------------------------------------
@@ -430,7 +437,7 @@ class CountTable:
             raise ConsistencyError(f"negative rank-at-least count m_{i}({n}) = {val}")
         return val
 
-    # ----- convolution recurrences & cross-checks -----------------------
+    # ----- convolution identities ----------------------------------------
 
     def _binomial_convolution(self, u: Sequence[int], v: Sequence[int], upto: int) -> list[int]:
         """w(n) = sum_a C(n,a) u(a) v(n-a) for n <= upto, with u(0)=v(0)=0."""
@@ -448,20 +455,31 @@ class CountTable:
             out[n] = acc
         return out
 
-    def _verify_g_tower(self) -> None:
-        """Re-derive the forest tower by convolution from the tree counts and
-        compare with the closed forms, through verify_to.  With g_k = k! * t
-        (the composition totals), it re-derives t by root removal."""
-        upto = self.verify_to
-        conv = self._t[: upto + 1]
-        for j in range(2, self.k + 1):
-            conv = self._binomial_convolution(self._t, conv, upto)
-            for n in range(1, upto + 1):
-                if conv[n] != self._g[j][n]:
-                    raise ConsistencyError(
-                        f"ordered {j}-forest count at n={n}: convolution {conv[n]} "
-                        f"!= closed form {self._g[j][n]}"
-                    )
+    def _check_identity(
+        self,
+        what: str,
+        name: str,
+        closed: Sequence[int],
+        u: Sequence[int],
+        v: Sequence[int],
+        upto: int,
+        scale: int = 1,
+        plus: Sequence[int] | None = None,
+    ) -> None:
+        """Raise unless scale closed(n) = plus(n) + (u * v)(n) for 1 <= n <= upto,
+        ``*`` being the labelled convolution.
+
+        ``closed`` is the closed-form sequence ``name``; ``plus`` defaults to 0.
+        """
+        conv = self._binomial_convolution(u, v, upto)
+        for n in range(1, upto + 1):
+            lhs = scale * closed[n]
+            rhs = conv[n] + plus[n] if plus is not None else conv[n]
+            if lhs != rhs:
+                raise ConsistencyError(
+                    f"{what} at n={n}: closed form {name}({n}) = {closed[n]} "
+                    f"breaks its convolution identity ({lhs} != {rhs})"
+                )
 
     def _verify_composition_totals(self) -> None:
         """The ordered k-forest counts (the sampler's composition weights) must
@@ -474,45 +492,36 @@ class CountTable:
                     f"expected k!*t = {self._kfac * self._t[n]}"
                 )
 
+    def _build_g(self, j: int) -> tuple[int, ...]:
+        """Closed g_j, checked against t * g_{j-1} through verify_to."""
+        closed = self._closed_g_array(j)
+        if j > 1:
+            self._check_identity(
+                f"ordered {j}-forest count", f"g_{j}", closed,
+                self._g[1], self._g[j - 1], self.verify_to,
+            )
+        return tuple(closed)
+
     def _build_r(self, i: int) -> list[int]:
+        """Closed r_i, checked against k! r_i = r_{i-1}^{*k} through verify_to."""
         prev = self._r[i - 1]
         closed = [0] + [self._closed_r(i, n) for n in range(1, self.n_max + 1)]
-        # recurrence: k-fold labeled product of the previous sequence, / k!
-        upto = self.verify_to
-        power = prev[: upto + 1]
-        for _ in range(self.k - 1):
-            power = self._binomial_convolution(prev, power, upto)
-        for n in range(2, upto + 1):
-            rec = _exact_div(power[n], self._kfac, f"root-rank recurrence r_{i}({n})")
-            if rec != closed[n]:
-                raise ConsistencyError(
-                    f"root-rank count r_{i}({n}): recurrence {rec} != closed {closed[n]}"
-                )
-        if upto >= 1 and closed[1] != (1 if i == 0 else 0):
-            raise ConsistencyError(f"r_{i}(1) must be {1 if i == 0 else 0}")
+        power = prev
+        for _ in range(self.k - 2):
+            power = self._binomial_convolution(prev, power, self.verify_to)
+        self._check_identity(
+            "root-rank count", f"r_{i}", closed, prev, power, self.verify_to, scale=self._kfac
+        )
         return closed
 
     def _build_m(self, i: int) -> list[int]:
-        r_i = self._get_r(i)
-        fkm1 = self._fkm1
-        m = [0] * (self.n_max + 1)
-        for n in range(1, self.n_max + 1):
-            acc = r_i[n]
-            c = n  # C(n, 1)
-            for a in range(1, n):
-                ma = m[a]
-                if ma:
-                    fb = fkm1[n - a]
-                    if fb:
-                        acc += c * ma * fb
-                c = c * (n - a) // (a + 1)
-            closed = self._closed_m(i, n)
-            if acc != closed:
-                raise ConsistencyError(
-                    f"rank-at-least count m_{i}({n}): convolution {acc} != closed {closed}"
-                )
-            m[n] = acc
-        return m
+        """Closed m_i, checked against m_i = r_i + m_i * f_{k-1} at every n."""
+        closed = [0] + [self._closed_m(i, n) for n in range(1, self.n_max + 1)]
+        self._check_identity(
+            "rank-at-least count", f"m_{i}", closed, closed, self._fkm1, self.n_max,
+            plus=self._get_r(i),
+        )
+        return closed
 
     def _get_r(self, i: int) -> Sequence[int]:
         if i > self._top_rank:
@@ -562,29 +571,14 @@ class CountTable:
         self._check_cover(n)
         if j > n:
             return 0  # a j-forest has at least j leaves
-        if j <= self.k:
-            g = self._g[j][n]
-        else:
+        if j > self.k:
             with self._lock:
                 # each closed g_h is checked against t * g_{h-1}, so the
                 # tower is built upward from g_k
                 for h in range(self.k + 1, j + 1):
-                    if h not in self._extra_g:
-                        self._extra_g[h] = self._checked_forest_counts(h)
-            g = self._extra_g[j][n]
-        return _exact_div(g, factorial(j), f"unordered {j}-forest count at n={n}")
-
-    def _checked_forest_counts(self, j: int) -> list[int]:
-        arr = self._closed_g_array(j)
-        base = self._g[self.k] if j == self.k + 1 else self._extra_g[j - 1]
-        conv = self._binomial_convolution(self._t, base, self.verify_to)
-        for n in range(1, self.verify_to + 1):
-            if conv[n] != arr[n]:
-                raise ConsistencyError(
-                    f"ordered {j}-forest count at n={n}: "
-                    f"convolution {conv[n]} != closed {arr[n]}"
-                )
-        return arr
+                    if h not in self._g:
+                        self._g[h] = self._build_g(h)
+        return _exact_div(self._g[j][n], factorial(j), f"unordered {j}-forest count at n={n}")
 
     def root_rank_count(self, i: int, n: int) -> int:
         """r_{i,k}(n): trees on {1..n} whose root has rank at least i."""

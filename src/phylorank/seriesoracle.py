@@ -87,8 +87,6 @@ class TruncatedSeries:
         return TruncatedSeries([-a for a in self.coeffs], self.order)
 
     def __sub__(self, other):
-        if isinstance(other, TruncatedSeries):
-            return self + (-other)
         return self + (-other)
 
     def __rsub__(self, other):

@@ -75,6 +75,16 @@ def test_census_json_schema(capsys, schema):
     assert payload["total"] == "105"
 
 
+def test_census_inadmissible_is_empty(capsys, schema):
+    # no trees on 4 leaves at k=3: the census has no rows in either format
+    code, out, _ = run(capsys, "census", "--k", "3", "--n", "4", "--format", "json")
+    payload = json.loads(out)
+    check_schema(schema, payload)
+    assert code == 0 and payload["total"] == "0" and payload["rows"] == []
+    code, out, _ = run(capsys, "census", "--k", "3", "--n", "4")
+    assert code == 0 and out == "rank\tcount\tratio\tratio_decimal\n"
+
+
 def test_limits_tsv(capsys):
     code, out, _ = run(capsys, "limits", "--k", "2", "--max-rank", "2")
     rows = [line.split("\t") for line in out.strip().splitlines()[1:]]

@@ -209,11 +209,16 @@ def test_brute_force_equivalence_small():
 
 
 def test_verify_to_does_not_change_values():
-    full = CountTable(2, 40)
-    partial = CountTable(2, 40, verify_to=10)
-    for n in range(1, 41):
-        assert full.tree_count(n) == partial.tree_count(n)
-        assert full.rank_ge_count(2, n) == partial.rank_ge_count(2, n)
+    for k in (2, 3):
+        full = CountTable(k, 40)
+        partial = CountTable(k, 40, verify_to=10)
+        for n in range(1, 41):
+            assert full.tree_count(n) == partial.tree_count(n)
+            for j in range(1, k + 3):
+                assert full.forest_count(j, n) == partial.forest_count(j, n)
+            for i in range(4):
+                assert full.root_rank_count(i, n) == partial.root_rank_count(i, n)
+                assert full.rank_ge_count(i, n) == partial.rank_ge_count(i, n)
 
 
 def test_table_coverage_errors(table_k2):
@@ -456,3 +461,64 @@ def test_root_rank_check_fires_on_corruption(monkeypatch):
     table = CountTable(2, 12)
     with pytest.raises(ConsistencyError, match=r"r_1\(6\)"):
         table.root_rank_count(1, 12)
+
+
+# Each closed form corrupted by one at the first n where it is nonzero and at
+# n_max: the identity that checks that sequence must name it and the n.
+
+
+@pytest.mark.parametrize("k,j,n_first", [(3, 2, 2), (2, 3, 3)])
+@pytest.mark.parametrize("at_end", [False, True], ids=["first_nonzero", "n_max"])
+def test_forest_tower_check_covers_both_ends(monkeypatch, k, j, n_first, at_end):
+    # (3, 2): g_2 built at construction, below g_k; (2, 3): g_3 = g_{k+1},
+    # built by forest_count through the same per-level check
+    n_max = 12
+    n = n_max if at_end else n_first
+    closed = CountTable._closed_g_array
+
+    def corrupt(self, h):
+        arr = closed(self, h)
+        if h == j:
+            assert arr[n] and not any(arr[:n_first])
+            arr[n] += 1
+        return arr
+
+    monkeypatch.setattr(CountTable, "_closed_g_array", corrupt)
+    with pytest.raises(ConsistencyError, match=rf"{j}-forest count at n={n}: .*g_{j}\({n}\)"):
+        CountTable(k, n_max).forest_count(j, n_max)
+
+
+@pytest.mark.parametrize("k,i,n_first", [(2, 1, 2), (2, 2, 4), (3, 1, 3)])
+@pytest.mark.parametrize("at_end", [False, True], ids=["first_nonzero", "n_max"])
+def test_root_rank_check_covers_both_ends(monkeypatch, k, i, n_first, at_end):
+    n_max = 13
+    n = n_max if at_end else n_first
+    closed = CountTable._closed_r
+
+    def corrupt(self, h, m):
+        return closed(self, h, m) + (h == i and m == n)
+
+    monkeypatch.setattr(CountTable, "_closed_r", corrupt)
+    table = CountTable(k, n_max)
+    assert closed(table, i, n) and not closed(table, i, n_first - 1)
+    with pytest.raises(ConsistencyError, match=rf"at n={n}: .*r_{i}\({n}\)"):
+        table.root_rank_count(i, n_max)
+
+
+@pytest.mark.parametrize("k,i,n_first", [(2, 0, 1), (2, 1, 2), (2, 2, 4), (3, 1, 3)])
+@pytest.mark.parametrize("at_end", [False, True], ids=["first_nonzero", "n_max"])
+def test_rank_ge_check_covers_both_ends(monkeypatch, k, i, n_first, at_end):
+    # the stored m_i is the closed form itself, so only this check guards it;
+    # verify_to does not shorten it
+    n_max = 13
+    n = n_max if at_end else n_first
+    closed = CountTable._closed_m
+
+    def corrupt(self, h, m):
+        return closed(self, h, m) + (h == i and m == n)
+
+    monkeypatch.setattr(CountTable, "_closed_m", corrupt)
+    table = CountTable(k, n_max, verify_to=1)
+    assert closed(table, i, n) and (n_first == 1 or not closed(table, i, n_first - 1))
+    with pytest.raises(ConsistencyError, match=rf"at n={n}: .*m_{i}\({n}\)"):
+        table.rank_ge_count(i, n_max)
