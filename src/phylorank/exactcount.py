@@ -10,7 +10,7 @@ Each counting sequence is computed along two independent routes:
 
 A :class:`CountTable` stores the closed forms and checks each sequence
 against its identity before storing it; the class docstring says which
-identity checks which sequence, and over which n.  Any disagreement or
+identity checks which sequence, over which n, and how.  Any disagreement or
 inexact division raises :class:`ConsistencyError`.
 
 Notation used throughout: a tree on n leaves exists iff (n-1) is divisible by
@@ -23,7 +23,8 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, log2
+from math import comb, factorial, gcd, log2
+from operator import mul
 from typing import Sequence
 
 from .errors import ConsistencyError, DomainError, TableCoverageError
@@ -116,6 +117,21 @@ def _labeled_pow_count(k: int, power: int, n: int, fact_n: int, kfac_pow_s: Sequ
     num = fact_n * power * comb(k * s + power - 1, s)
     den = (s * (k - 1) + power) * kfs
     return _exact_div(num, den, f"ordered {power}-forest count at n={n}")
+
+
+def _cauchy_product(u: Sequence[int], v: Sequence[int], upto: int) -> list[int]:
+    """w(n) = sum_a u(a) v(n-a) for n <= upto, with u(0) = v(0) = 0.
+
+    A square (``u is v``) multiplies each pair of mirror terms once."""
+    out = [0] * (upto + 1)
+    for n in range(2, upto + 1):
+        if u is v:
+            half = n // 2
+            acc = 2 * sum(map(mul, u[1:n - half], u[n - 1:half:-1]))
+            out[n] = acc + u[half] * u[half] if n % 2 == 0 else acc
+        else:
+            out[n] = sum(map(mul, u[1:n], v[n - 1:0:-1]))
+    return out
 
 
 def tree_count_closed(k: int, n: int) -> int:
@@ -330,11 +346,21 @@ class CountTable:
     before it is stored (``*`` is the labelled convolution; one comparer,
     ``_check_identity``, checks all three convolution identities):
 
-    * forest tower ``g_j = t * g_{j-1}`` for n <= verify_to, with g_1 = t;
-      g_j for j <= k is built at construction, larger j by ``forest_count``;
+    * forest tower ``g_j = g_{floor(j/2)} * g_{ceil(j/2)}`` for n <= verify_to,
+      with g_1 = t; g_j for j <= k is built at construction, larger j by
+      ``forest_count``, which builds only the O(log j) halves below it;
     * composition totals ``g_k = k! t`` at every n <= n_max;
     * root ranks ``k! r_i = r_{i-1}^{*k}`` for n <= verify_to, with r_0 = t;
     * rank-at-least ``m_i = r_i + m_i * f_{k-1}`` at every n <= n_max.
+
+    A check first reduces every sequence u in the identity to
+    u(n) k!^n / n!.  That substitutes x -> k! x in the exponential
+    generating functions, so the labelled convolution becomes the plain
+    Cauchy product of the reduced sequences and the identity is compared
+    there, at every n, with no loss.  Z = x + k!^(k-2) Z^k has integer
+    coefficients, T(k! x) = k! Z(x) and T'(k! x) = Z'(x), so every true
+    count here reduces to an integer; a sequence that does not is reported
+    as a :class:`ConsistencyError` naming it and the n.
 
     ``verify_to`` (default n_max) only bounds the quadratic-time checks of g
     and r; every stored value is the closed form at every n.  r and m are
@@ -347,8 +373,8 @@ class CountTable:
         _check_n(n_max)
         if verify_to is None:
             verify_to = n_max
-        if verify_to < 1:
-            raise DomainError("verify_to must be >= 1")
+        elif not isinstance(verify_to, int) or isinstance(verify_to, bool) or verify_to < 1:
+            raise DomainError(f"verify_to must be an integer >= 1, got {verify_to!r}")
         self.k = k
         self.n_max = n_max
         self.verify_to = min(verify_to, n_max)
@@ -439,20 +465,23 @@ class CountTable:
 
     # ----- convolution identities ----------------------------------------
 
-    def _binomial_convolution(self, u: Sequence[int], v: Sequence[int], upto: int) -> list[int]:
-        """w(n) = sum_a C(n,a) u(a) v(n-a) for n <= upto, with u(0)=v(0)=0."""
+    def _reduced(self, what: str, name: str, seq: Sequence[int], upto: int) -> list[int]:
+        """seq(n) k!^n / n! for n <= upto (0 at n = 0), dividing exactly.
+
+        This maps labelled convolution to the plain Cauchy product.  Every
+        true count reduces to an integer, so a remainder is an error."""
         out = [0] * (upto + 1)
-        for n in range(2, upto + 1):
-            acc = 0
-            c = n  # C(n, 1)
-            for a in range(1, n):
-                ua = u[a]
-                if ua:
-                    vb = v[n - a]
-                    if vb:
-                        acc += c * ua * vb
-                c = c * (n - a) // (a + 1)
-            out[n] = acc
+        kfac_pow = 1
+        for n in range(1, upto + 1):
+            kfac_pow *= self._kfac
+            q, r = divmod(seq[n] * kfac_pow, self._fact[n])
+            if r:
+                d = self._fact[n] // gcd(self._fact[n], kfac_pow)
+                raise ConsistencyError(
+                    f"{what} at n={n}: {name}({n}) = {seq[n]} is no count: "
+                    f"it is not a multiple of n!/gcd(n!, k!^n) = {d}"
+                )
+            out[n] = q
         return out
 
     def _check_identity(
@@ -460,25 +489,37 @@ class CountTable:
         what: str,
         name: str,
         closed: Sequence[int],
-        u: Sequence[int],
-        v: Sequence[int],
+        factors: Sequence[tuple[str, Sequence[int]]],
         upto: int,
         scale: int = 1,
-        plus: Sequence[int] | None = None,
+        plus: tuple[str, Sequence[int]] | None = None,
     ) -> None:
-        """Raise unless scale closed(n) = plus(n) + (u * v)(n) for 1 <= n <= upto,
-        ``*`` being the labelled convolution.
+        """Raise unless scale closed(n) = plus(n) + (f_1 * ... * f_r)(n) for
+        1 <= n <= upto, ``*`` being the labelled convolution.
 
-        ``closed`` is the closed-form sequence ``name``; ``plus`` defaults to 0.
+        ``closed`` is the closed-form sequence ``name``; ``factors`` and
+        ``plus`` (default 0) are (name, sequence) pairs.  Every sequence is
+        reduced once per name, so both sides are compared as Cauchy products.
         """
-        conv = self._binomial_convolution(u, v, upto)
+        reduced: dict[str, list[int]] = {}
+
+        def reduce(label: str, seq: Sequence[int]) -> list[int]:
+            if label not in reduced:
+                reduced[label] = self._reduced(what, label, seq, upto)
+            return reduced[label]
+
+        lhs = reduce(name, closed)
+        rhs = reduce(*factors[0])
+        for factor in factors[1:]:
+            rhs = _cauchy_product(rhs, reduce(*factor), upto)
+        extra = reduce(*plus) if plus is not None else None
         for n in range(1, upto + 1):
-            lhs = scale * closed[n]
-            rhs = conv[n] + plus[n] if plus is not None else conv[n]
-            if lhs != rhs:
+            left = scale * lhs[n]
+            right = rhs[n] + extra[n] if extra is not None else rhs[n]
+            if left != right:
                 raise ConsistencyError(
                     f"{what} at n={n}: closed form {name}({n}) = {closed[n]} "
-                    f"breaks its convolution identity ({lhs} != {rhs})"
+                    f"breaks its convolution identity (reduced: {left} != {right})"
                 )
 
     def _verify_composition_totals(self) -> None:
@@ -493,24 +534,31 @@ class CountTable:
                 )
 
     def _build_g(self, j: int) -> tuple[int, ...]:
-        """Closed g_j, checked against t * g_{j-1} through verify_to."""
+        """Closed g_j, checked against g_{floor(j/2)} * g_{ceil(j/2)} through
+        verify_to; both halves must be built already."""
         closed = self._closed_g_array(j)
         if j > 1:
+            a, b = j // 2, j - j // 2
             self._check_identity(
                 f"ordered {j}-forest count", f"g_{j}", closed,
-                self._g[1], self._g[j - 1], self.verify_to,
+                ((f"g_{a}", self._g[a]), (f"g_{b}", self._g[b])), self.verify_to,
             )
         return tuple(closed)
 
+    def _forest_tower(self, j: int) -> tuple[int, ...]:
+        """g_j, building and checking the missing halves below it first."""
+        if j not in self._g:
+            self._forest_tower(j // 2)
+            self._forest_tower(j - j // 2)
+            self._g[j] = self._build_g(j)
+        return self._g[j]
+
     def _build_r(self, i: int) -> list[int]:
         """Closed r_i, checked against k! r_i = r_{i-1}^{*k} through verify_to."""
-        prev = self._r[i - 1]
         closed = [0] + [self._closed_r(i, n) for n in range(1, self.n_max + 1)]
-        power = prev
-        for _ in range(self.k - 2):
-            power = self._binomial_convolution(prev, power, self.verify_to)
         self._check_identity(
-            "root-rank count", f"r_{i}", closed, prev, power, self.verify_to, scale=self._kfac
+            "root-rank count", f"r_{i}", closed, ((f"r_{i - 1}", self._r[i - 1]),) * self.k,
+            self.verify_to, scale=self._kfac,
         )
         return closed
 
@@ -518,8 +566,9 @@ class CountTable:
         """Closed m_i, checked against m_i = r_i + m_i * f_{k-1} at every n."""
         closed = [0] + [self._closed_m(i, n) for n in range(1, self.n_max + 1)]
         self._check_identity(
-            "rank-at-least count", f"m_{i}", closed, closed, self._fkm1, self.n_max,
-            plus=self._get_r(i),
+            "rank-at-least count", f"m_{i}", closed,
+            ((f"m_{i}", closed), (f"f_{self.k - 1}", self._fkm1)), self.n_max,
+            plus=(f"r_{i}", self._get_r(i)),
         )
         return closed
 
@@ -571,14 +620,9 @@ class CountTable:
         self._check_cover(n)
         if j > n:
             return 0  # a j-forest has at least j leaves
-        if j > self.k:
-            with self._lock:
-                # each closed g_h is checked against t * g_{h-1}, so the
-                # tower is built upward from g_k
-                for h in range(self.k + 1, j + 1):
-                    if h not in self._g:
-                        self._g[h] = self._build_g(h)
-        return _exact_div(self._g[j][n], factorial(j), f"unordered {j}-forest count at n={n}")
+        with self._lock:
+            g_j = self._forest_tower(j)
+        return _exact_div(g_j[n], factorial(j), f"unordered {j}-forest count at n={n}")
 
     def root_rank_count(self, i: int, n: int) -> int:
         """r_{i,k}(n): trees on {1..n} whose root has rank at least i."""

@@ -21,6 +21,6 @@ def table_k4():
 
 @pytest.fixture(scope="session")
 def big_table_k2():
-    """Table for the large-n acceptance runs: closed forms to 2001, quadratic
-    cross-checks to 501, rank-at-least convolutions at full depth."""
-    return CountTable(2, 2001, verify_to=501)
+    """Table for the large-n acceptance runs: closed forms to 2001, each
+    checked against its convolution identity at every n."""
+    return CountTable(2, 2001)

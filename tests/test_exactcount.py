@@ -1,6 +1,7 @@
 import tracemalloc
 from fractions import Fraction
-from math import factorial
+from functools import reduce
+from math import comb, factorial, gcd
 
 import pytest
 
@@ -8,6 +9,7 @@ from phylorank import bruteforce
 from phylorank.errors import ConsistencyError, DomainError, TableCoverageError
 from phylorank.exactcount import (
     CountTable,
+    _cauchy_product,
     c_index,
     coeff_T_pow,
     internal_vertices,
@@ -219,6 +221,12 @@ def test_verify_to_does_not_change_values():
             for i in range(4):
                 assert full.root_rank_count(i, n) == partial.root_rank_count(i, n)
                 assert full.rank_ge_count(i, n) == partial.rank_ge_count(i, n)
+
+
+@pytest.mark.parametrize("verify_to", [2.5, "3", True, False, 0, -1])
+def test_verify_to_must_be_a_positive_integer(verify_to):
+    with pytest.raises(DomainError, match="verify_to"):
+        CountTable(2, 10, verify_to=verify_to)
 
 
 def test_table_coverage_errors(table_k2):
@@ -522,3 +530,103 @@ def test_rank_ge_check_covers_both_ends(monkeypatch, k, i, n_first, at_end):
     assert closed(table, i, n) and (n_first == 1 or not closed(table, i, n_first - 1))
     with pytest.raises(ConsistencyError, match=rf"at n={n}: .*m_{i}\({n}\)"):
         table.rank_ge_count(i, n_max)
+
+
+def test_forest_count_builds_the_tower_by_halving(monkeypatch):
+    # g_40 needs g_20, g_10, g_5, g_3 and g_2: one checked identity each, not
+    # one per level from g_3 up
+    calls = []
+    check = CountTable._check_identity
+
+    def counting(self, what, *args, **kwargs):
+        calls.append(what)
+        return check(self, what, *args, **kwargs)
+
+    monkeypatch.setattr(CountTable, "_check_identity", counting)
+    table = CountTable(2, 64)
+    assert table.forest_count(40, 64) == coeff_T_pow(2, 40, 64) * factorial(64) / factorial(40)
+    assert len(calls) <= 12
+
+
+# The reduced route against the labelled convolution computed term by term.
+
+
+def _binomial_convolution(u, v, upto):
+    """w(n) = sum_a C(n,a) u(a) v(n-a) for n <= upto, with u(0)=v(0)=0."""
+    out = [0] * (upto + 1)
+    for n in range(2, upto + 1):
+        out[n] = sum(comb(n, a) * u[a] * v[n - a] for a in range(1, n))
+    return out
+
+
+def _via_reduction(table, factors, upto):
+    """The labelled convolution of ``factors`` as CountTable checks it: a
+    Cauchy product of reduced sequences (one list per distinct factor, so a
+    repeated factor takes the squaring path), mapped back to counts exactly."""
+    reduced = {id(f): table._reduced("test", "f", f, upto) for f in factors}
+    w = reduce(lambda x, y: _cauchy_product(x, y, upto), [reduced[id(f)] for f in factors])
+    out = [0] * (upto + 1)
+    for n in range(1, upto + 1):
+        q, r = divmod(w[n] * factorial(n), factorial(table.k) ** n)
+        assert r == 0
+        out[n] = q
+    return out
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_reduced_product_is_the_labelled_convolution(k):
+    n_max = 60
+    table = CountTable(k, n_max)
+    t = table._forest_tower(1)
+    pairs = []
+    for j in range(2, 2 * k + 1):
+        pairs.append([t, table._forest_tower(j - 1)])
+        pairs.append([table._forest_tower(j // 2), table._forest_tower(j - j // 2)])
+    for i in range(1, table._top_rank + 1):
+        pairs.append([table._get_r(i - 1)] * k)
+    for i in range(table._top_rank + 1):
+        pairs.append([table._get_m(i), table._fkm1])
+    for factors in pairs:
+        assert _via_reduction(table, factors, n_max) == reduce(
+            lambda u, v: _binomial_convolution(u, v, n_max), factors
+        )
+
+
+# Each identity fails on either route: a corruption by 1 is no multiple of
+# n!/gcd(n!, k!^n) (> 1 at these n), so its reduction is inexact; one by that
+# multiple reduces to an integer, and the product comparison must see it.
+
+
+@pytest.mark.parametrize(
+    "k,seq,idx,n",
+    [(3, "g", 2, 12), (2, "g", 3, 12), (2, "r", 1, 12), (3, "r", 1, 13), (2, "m", 1, 12), (3, "m", 1, 13)],
+)
+@pytest.mark.parametrize("route", ["inexact", "product"])
+def test_identity_check_fires_on_both_routes(monkeypatch, k, seq, idx, n, route):
+    d = factorial(n) // gcd(factorial(n), factorial(k) ** n)
+    assert d > 1
+    delta = 1 if route == "inexact" else d
+    if seq == "g":
+        closed_g = CountTable._closed_g_array
+
+        def corrupt_g(self, j):
+            arr = closed_g(self, j)
+            if j == idx:
+                assert arr[n]
+                arr[n] += delta
+            return arr
+
+        monkeypatch.setattr(CountTable, "_closed_g_array", corrupt_g)
+    else:
+        closed = getattr(CountTable, f"_closed_{seq}")
+
+        def corrupt(self, i, m):
+            return closed(self, i, m) + delta * (i == idx and m == n)
+
+        monkeypatch.setattr(CountTable, f"_closed_{seq}", corrupt)
+    name = rf"{seq}_{idx}\({n}\) = \d+"
+    message = f"{name} is no count" if route == "inexact" else f"closed form {name} breaks"
+    with pytest.raises(ConsistencyError, match=rf"at n={n}: {message}"):
+        table = CountTable(k, 13)
+        query = {"g": table.forest_count, "r": table.root_rank_count, "m": table.rank_ge_count}
+        query[seq](idx, 13)
