@@ -23,7 +23,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd, log2
+from math import ceil, comb, factorial, gcd, log2
 from operator import mul
 from typing import Sequence
 
@@ -37,6 +37,7 @@ __all__ = [
     "coeff_T_pow",
     "tree_count_closed",
     "MAX_POWER_BITS",
+    "MAX_TABLE_BYTES",
     "rank_ge_limit",
     "rank_eq_limit",
     "LimitEntry",
@@ -339,6 +340,20 @@ def negligibility_ratio(k: int, power: int, n: int) -> Fraction:
     return num / den
 
 
+MAX_TABLE_BYTES = 1 << 28
+"""Largest storage, in bytes (256 MiB), that a :class:`CountTable` may need
+by :func:`_table_bytes`.  The tests' largest table, ``CountTable(2, 2001)``,
+is estimated at about 8 MB; k = 2 is refused from n = 10,361 on.  A
+larger table raises :class:`DomainError` before anything is allocated."""
+
+
+def _table_bytes(k: int, n_max: int) -> int:
+    """Estimated storage of ``CountTable(k, n_max)`` at construction: the
+    factorials 0!..n_max! take about n^2 log2(n) / 2 bits, and each of the k
+    forest sequences g_j about as many (g_j(n) / n! grows only exponentially)."""
+    return ceil((k + 1) * n_max * n_max * log2(n_max) / 16)
+
+
 class CountTable:
     """All counting sequences for one branching factor k, exact through n_max.
 
@@ -371,6 +386,12 @@ class CountTable:
     def __init__(self, k: int, n_max: int, verify_to: int | None = None):
         _check_k(k)
         _check_n(n_max)
+        need = _table_bytes(k, n_max)
+        if need > MAX_TABLE_BYTES:
+            raise DomainError(
+                f"a table for k={k} through n={n_max} would need about {need >> 20} MiB, "
+                f"over the bound of {MAX_TABLE_BYTES >> 20} MiB"
+            )
         if verify_to is None:
             verify_to = n_max
         elif not isinstance(verify_to, int) or isinstance(verify_to, bool) or verify_to < 1:

@@ -220,6 +220,14 @@ def test_bad_k_exit_code(capsys):
     assert code == 2
 
 
+def test_oversized_table_refused(capsys):
+    # refused from k and n alone, before any factorial is built
+    code, out, err = run(capsys, "count", "--k", "2", "--n", "100000")
+    assert code == 2
+    assert out == ""
+    assert "MiB" in err
+
+
 def test_output_file(capsys, tmp_path):
     target = tmp_path / "out.tsv"
     code, out, _ = run(capsys, "limits", "--k", "2", "--max-rank", "1",

@@ -5,7 +5,7 @@ from math import comb, factorial, gcd
 
 import pytest
 
-from phylorank import bruteforce
+from phylorank import bruteforce, exactcount
 from phylorank.errors import ConsistencyError, DomainError, TableCoverageError
 from phylorank.exactcount import (
     CountTable,
@@ -227,6 +227,25 @@ def test_verify_to_does_not_change_values():
 def test_verify_to_must_be_a_positive_integer(verify_to):
     with pytest.raises(DomainError, match="verify_to"):
         CountTable(2, 10, verify_to=verify_to)
+
+
+@pytest.mark.parametrize("k, n_max", [(2, 40), (5, 101)])
+def test_table_size_bound(k, n_max, monkeypatch):
+    need = exactcount._table_bytes(k, n_max)
+    monkeypatch.setattr(exactcount, "MAX_TABLE_BYTES", need - 1)
+    with pytest.raises(DomainError, match="MiB"):
+        CountTable(k, n_max)
+    monkeypatch.setattr(exactcount, "MAX_TABLE_BYTES", need)
+    assert CountTable(k, n_max).n_max == n_max
+
+
+def test_table_size_bound_admits_every_documented_table():
+    # the largest tables of the tests, the README and the benchmark
+    assert exactcount._table_bytes(2, 2001) <= exactcount.MAX_TABLE_BYTES
+    assert exactcount._table_bytes(3, 1001) <= exactcount.MAX_TABLE_BYTES
+    # the bound's edge for k = 2, as the MAX_TABLE_BYTES docstring states
+    assert exactcount._table_bytes(2, 10_360) <= exactcount.MAX_TABLE_BYTES
+    assert exactcount._table_bytes(2, 10_361) > exactcount.MAX_TABLE_BYTES
 
 
 def test_table_coverage_errors(table_k2):

@@ -1,9 +1,11 @@
+import math
 from collections import Counter
 
 import pytest
 
+from phylorank import sampler
 from phylorank.errors import ConsistencyError, DomainError, TableCoverageError
-from phylorank.exactcount import CountTable
+from phylorank.exactcount import CountTable, internal_vertices
 from phylorank.sampler import sample_batch
 from phylorank.treecore import to_newick, validate
 
@@ -109,3 +111,123 @@ def test_composition_total_tripwire(monkeypatch):
     monkeypatch.setattr(CountTable, "_closed_g_array", corrupt)
     with pytest.raises(ConsistencyError, match="n=6"):
         CountTable(2, 12, verify_to=3)
+
+
+# ----- the float filter in front of the exact block-size scan -------------
+
+
+def _forest_arrays(table):
+    return [()] + [table.ordered_forest_counts(j) for j in range(1, table.k + 1)]
+
+
+def _boundaries(g, m, slots):
+    """(candidate, cumulative exact weight) in the scan's order: 1, hi, 2,
+    hi-1, ...; candidates of weight 0 are left out."""
+    lo, hi = 1, m - (slots - 1)
+    order = []
+    while lo <= hi:
+        order += [lo] if lo == hi else [lo, hi]
+        lo, hi = lo + 1, hi - 1
+    acc, out = 0, []
+    for a in order:
+        w = math.comb(m, a) * g[1][a] * g[slots - 1][m - a]
+        if w:
+            acc += w
+            out.append((a, acc))
+    assert acc == g[slots][m]
+    return out
+
+
+def _count_exact_calls(monkeypatch):
+    calls = []
+    exact = sampler._exact_block_size
+
+    def counted(g, m, slots, u):
+        calls.append(m)
+        return exact(g, m, slots, u)
+
+    monkeypatch.setattr(sampler, "_exact_block_size", counted)
+    return calls
+
+
+def _check_boundaries(g, logs, margin, m, slots, picks):
+    """At u = W - 1 and u = W for the picked cumulative boundaries W, the
+    exact scan and the filter both pick the boundary's candidate, then the
+    next one.  Returns how many values of u were checked."""
+    bounds = _boundaries(g, m, slots)
+    checked = 0
+    for pos in picks(len(bounds)):
+        a, w = bounds[pos]
+        cases = [(w - 1, a)] + ([(w, bounds[pos + 1][0])] if pos + 1 < len(bounds) else [])
+        for u, expected in cases:
+            assert sampler._exact_block_size(g, m, slots, u) == expected
+            assert sampler._pick_block_size(g, logs, margin, m, slots, u) == expected
+            checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_filter_agrees_with_exact_scan_at_every_boundary(k, table_k2, table_k3, table_k4):
+    table = {2: table_k2, 3: table_k3, 4: table_k4}[k]
+    g = _forest_arrays(table)
+    logs, margin = sampler._log_table(g, 40)
+    checked = 0
+    for slots in range(2, k + 1):
+        for m in range(slots, 41):
+            if g[slots][m]:
+                _check_boundaries(g, logs, margin, m, slots, range)
+                checked += 1
+    assert checked > 20
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_filter_falls_back_where_floats_cannot_tell(k, table_k2_1001, monkeypatch):
+    # 1/total is far below the float resolution at m = 1001, so x reads the
+    # same at u = W - 1 and u = W: only the exact scan can decide there
+    g = _forest_arrays(table_k2_1001 if k == 2 else CountTable(k, 1001))
+    logs, margin = sampler._log_table(g, 1001)
+    calls = _count_exact_calls(monkeypatch)
+    checked = 0
+    for slots in range(2, k + 1):
+        if g[slots][1001]:
+            checked += _check_boundaries(
+                g, logs, margin, 1001, slots,
+                lambda size: [0, 1, 2, 3, 4, 5, 17, 60, size // 2, size - 2, size - 1],
+            )
+    # per u, one direct call of the exact scan and one fallback from the filter
+    assert checked >= 21
+    assert len(calls) == 2 * checked
+    assert margin < 1e-9
+
+
+@pytest.mark.parametrize("k, n", [(2, 63), (3, 63)])
+def test_forced_fallback_gives_the_same_trees(k, n, table_k2, table_k3, monkeypatch):
+    table = {2: table_k2, 3: table_k3}[k]
+    filtered = [to_newick(t) for t in sample_batch(k, n, 12, base_seed=8, table=table)]
+    calls = _count_exact_calls(monkeypatch)
+    monkeypatch.setattr(sampler, "_margin", lambda log_max, n: math.inf)
+    exact = [to_newick(t) for t in sample_batch(k, n, 12, base_seed=8, table=table)]
+    assert exact == filtered
+    # k-1 draws per internal vertex, every one of them by the exact scan
+    assert len(calls) == 12 * (k - 1) * internal_vertices(k, n)
+
+
+def test_filter_decides_large_draws(table_k2, monkeypatch):
+    # u lands on or next to an exact boundary often at tiny m (at m = 3 the
+    # total is 6), almost never once the totals are large
+    calls = _count_exact_calls(monkeypatch)
+    trees = list(sample_batch(2, 64, 20, base_seed=3, table=table_k2))
+    assert len(trees) == 20
+    assert calls and max(calls) < 16
+
+
+def test_exhausted_weights_raise_on_both_routes(table_k2):
+    # an inconsistent g whose total exceeds the sum of its weights
+    g = [list(row) for row in _forest_arrays(table_k2)]
+    m = 40
+    g[2][m] *= 2
+    logs, margin = sampler._log_table(g, m)
+    u = g[2][m] - 1
+    for route_margin in (margin, math.inf):
+        with pytest.raises(ConsistencyError, match="m=40, slots=2 exhausted its weights"):
+            sampler._pick_block_size(g, logs, route_margin, m, 2, u)
