@@ -3,8 +3,9 @@
 Everything here is integer or rational arithmetic, bit-exact at any size.
 Each counting sequence is computed along two independent routes:
 
-* closed forms obtained by coefficient extraction from the tree series
-  (``coeff_T_pow`` and its consequences), and
+* closed forms, each one term of the family g_p(n) = n! [x^n] T^p, the
+  ordered p-forest counts, whose coefficients Lagrange inversion gives
+  (``coeff_T_pow``), and
 * labelled (binomial) convolution identities over labeled structures
   (root removal: a tree is a root plus an unordered set of k subtrees).
 
@@ -61,7 +62,14 @@ def _check_n(n: int) -> None:
         raise DomainError(f"leaf count must be an integer >= 1, got {n!r}")
 
 
+def _check_rank(i: int, name: str = "rank index") -> None:
+    if not isinstance(i, int) or isinstance(i, bool) or i < 0:
+        raise DomainError(f"{name} must be an integer >= 0, got {i!r}")
+
+
 def _exact_div(num: int, den: int, what: str) -> int:
+    if den == 1:
+        return num  # divmod would copy num; f_1 = g_1 / 1! shares t's integers
     q, r = divmod(num, den)
     if r:
         raise ConsistencyError(f"inexact division while computing {what}: {num} / {den}")
@@ -85,8 +93,7 @@ def internal_vertices(k: int, n: int) -> int:
 def c_index(k: int, i: int) -> int:
     """The exponent c_i = (k^i - 1)/(k - 1) = 1 + k + ... + k^(i-1)."""
     _check_k(k)
-    if not isinstance(i, int) or i < 0:
-        raise DomainError(f"rank index must be an integer >= 0, got {i!r}")
+    _check_rank(i)
     return (k**i - 1) // (k - 1)
 
 
@@ -155,8 +162,7 @@ def _bounded_c(k: int, i: int) -> int:
     otherwise k**i is at most 2^64 * k and c_i is computed exactly.
     """
     _check_k(k)
-    if not isinstance(i, int) or i < 0:
-        raise DomainError(f"rank index must be an integer >= 0, got {i!r}")
+    _check_rank(i)
     if (i - 1) * log2(k) <= 64:
         c = c_index(k, i)
         if c * log2(k) <= MAX_POWER_BITS:
@@ -192,8 +198,7 @@ class LimitDistribution:
 
 def limit_distribution(k: int, max_rank: int) -> LimitDistribution:
     """The limiting rank distribution for ranks 0..max_rank."""
-    if max_rank < 0:
-        raise DomainError("max_rank must be >= 0")
+    _check_rank(max_rank, "max_rank")
     _bounded_c(k, max_rank + 1)
     entries = []
     for i in range(max_rank + 1):
@@ -357,9 +362,13 @@ def _table_bytes(k: int, n_max: int) -> int:
 class CountTable:
     """All counting sequences for one branching factor k, exact through n_max.
 
-    Every stored sequence is its closed form, checked against an identity
-    before it is stored (``*`` is the labelled convolution; one comparer,
-    ``_check_identity``, checks all three convolution identities):
+    Every stored sequence is one term of the family g_p(n) = n! [x^n] T^p:
+    t = g_1, f_{k-1} = g_{k-1} / (k-1)!, r_i(n) = g_{k^i}(n) / k!^(c_i) and
+    m_i(n) = g_{k^i+1}(n+1) / ((k^i+1) k!^(c_i)), the last because
+    M_i = R_i T' = (T^(k^i+1))' / ((k^i+1) k!^(c_i)); so m_0(n) = g_2(n+1)/2.
+    Each is checked against an identity before it is stored (``*`` is the
+    labelled convolution; one comparer, ``_check_identity``, checks all three
+    convolution identities):
 
     * forest tower ``g_j = g_{floor(j/2)} * g_{ceil(j/2)}`` for n <= verify_to,
       with g_1 = t; g_j for j <= k is built at construction, larger j by
@@ -400,12 +409,12 @@ class CountTable:
         self.n_max = n_max
         self.verify_to = min(verify_to, n_max)
 
-        self._fact = [1] * (n_max + 1)
-        for i in range(1, n_max + 1):
+        # 0!..(n_max+1)!: m_i(n) reads g_p at n + 1
+        self._fact = [1] * (n_max + 2)
+        for i in range(1, n_max + 2):
             self._fact[i] = self._fact[i - 1] * i
         self._kfac = factorial(k)
-        self._km1fac = factorial(k - 1)
-        # powers of k! indexed by s; s never exceeds n_max
+        # powers of k! indexed by s or by c_i; neither exceeds n_max / (k-1)
         self._kfac_pows = [1] * (n_max // (k - 1) + 2)
         for s in range(1, len(self._kfac_pows)):
             self._kfac_pows[s] = self._kfac_pows[s - 1] * self._kfac
@@ -419,9 +428,9 @@ class CountTable:
         self._verify_composition_totals()
         # forests of k-1 trees (unordered), used by the rank-at-least identity
         self._fkm1 = [
-            _exact_div(v, self._km1fac, f"(k-1)-forest count at n={b}")
+            _exact_div(v, factorial(k - 1), f"(k-1)-forest count at n={b}")
             for b, v in enumerate(self._g[k - 1])
-        ] if k > 2 else list(self._t)
+        ]
 
         # the tallest possible rank: a vertex of rank i has at least k^i
         # descendant leaves, so every rank above it shares one zero sequence
@@ -442,47 +451,19 @@ class CountTable:
         return [0] + [self._closed_g(j, n) for n in range(1, self.n_max + 1)]
 
     def _closed_r(self, i: int, n: int) -> int:
-        if i == 0:
-            return self._t[n]
-        power = self.k**i
-        if power > n:
-            return 0
-        c = c_index(self.k, i)
+        """r_i(n) = g_{k^i}(n) / k!^(c_i)."""
         return _exact_div(
-            self._closed_g(power, n),
-            self._kfac_pows[c] if c < len(self._kfac_pows) else self._kfac**c,
+            self._closed_g(self.k**i, n), self._kfac_pows[c_index(self.k, i)],
             f"root-rank count r_{i}({n})",
         )
 
-    def _m_zero(self, n: int) -> int:
-        if (n - 1) % (self.k - 1) != 0:
-            return 0
-        s = (n - 1) // (self.k - 1)
-        return (self.k * s + 1) * self._t[n]
-
     def _closed_m(self, i: int, n: int) -> int:
-        """n! [x^n] of the rank-i vertex series, via the polynomial split:
-        the rank-i series equals (all-vertex series minus a short polynomial
-        in T) divided by k^(c_i); every division is exact."""
-        if i == 0:
-            return self._m_zero(n)
-        if self.k**i > n:
-            return 0
-        c = c_index(self.k, i)
-        acc = self._m_zero(n)
-        km1fac_pow = 1
-        for j in range(c):
-            power = (self.k - 1) * j + 1
-            if power > n:
-                break
-            term = self._closed_g(power, n)
-            if term:
-                acc -= _exact_div(term, km1fac_pow, f"poly term j={j} of m_{i}({n})")
-            km1fac_pow *= self._km1fac
-        val = _exact_div(acc, self.k**c, f"rank-at-least count m_{i}({n})")
-        if val < 0:
-            raise ConsistencyError(f"negative rank-at-least count m_{i}({n}) = {val}")
-        return val
+        """m_i(n) = g_{k^i+1}(n+1) / ((k^i+1) k!^(c_i)); m_0(n) = g_2(n+1)/2."""
+        power = self.k**i + 1
+        return _exact_div(
+            self._closed_g(power, n + 1), power * self._kfac_pows[c_index(self.k, i)],
+            f"rank-at-least count m_{i}({n})",
+        )
 
     # ----- convolution identities ----------------------------------------
 
@@ -647,30 +628,30 @@ class CountTable:
 
     def root_rank_count(self, i: int, n: int) -> int:
         """r_{i,k}(n): trees on {1..n} whose root has rank at least i."""
-        if not isinstance(i, int) or i < 0:
-            raise DomainError(f"rank must be an integer >= 0, got {i!r}")
+        _check_rank(i)
         self._check_cover(n)
         return self._get_r(i)[n]
 
     def rank_ge_count(self, i: int, n: int) -> int:
         """m_{i,k}(n): vertices of rank at least i summed over all trees on {1..n}."""
-        if not isinstance(i, int) or i < 0:
-            raise DomainError(f"rank must be an integer >= 0, got {i!r}")
+        _check_rank(i)
         self._check_cover(n)
         return self._get_m(i)[n]
 
     def total_vertex_count(self, n: int) -> int:
         """(k*s+1) * t_{k,n}: all vertices over all trees; 0 for inadmissible n."""
         self._check_cover(n)
-        return self._m_zero(n)
+        if (n - 1) % (self.k - 1) != 0:
+            return 0
+        s = (n - 1) // (self.k - 1)
+        return (self.k * s + 1) * self._t[n]
 
     def rank_census(self, n: int, max_rank: int) -> RankCensus:
         """Exact counts of vertices of rank exactly 0..max_rank over all trees.
 
         For inadmissible n the census is empty (all zero).
         """
-        if max_rank < 0:
-            raise DomainError("max_rank must be >= 0")
+        _check_rank(max_rank, "max_rank")
         self._check_cover(n)
         if not is_admissible(self.k, n):
             return RankCensus(k=self.k, n=n, exact=(), ratios=(), tail=0, total=0)

@@ -348,12 +348,13 @@ def convergence_table(
     ratio of [x^n]T^power to the all-vertex coefficient (which tends to 0).
     Every n in the grid must be admissible; the table must cover max(n_grid).
     """
-    grid = sorted(set(int(n) for n in n_grid))
-    if not grid:
+    points = list(n_grid)
+    if not points:
         raise DomainError("n_grid must be nonempty")
-    for n in grid:
+    for n in points:
         if not is_admissible(k, n):
             raise DomainError(f"grid point n={n} is inadmissible for k={k}")
+    grid = sorted(set(points))
     if table is None:
         table = CountTable(k, grid[-1])
     limit = rank_ge_limit(k, i)

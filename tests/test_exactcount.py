@@ -22,6 +22,7 @@ from phylorank.exactcount import (
     rank_ge_limit,
     tree_count_closed,
 )
+from phylorank.stats import convergence_table
 from phylorank.treecore import rank_of
 
 
@@ -227,6 +228,29 @@ def test_verify_to_does_not_change_values():
 def test_verify_to_must_be_a_positive_integer(verify_to):
     with pytest.raises(DomainError, match="verify_to"):
         CountTable(2, 10, verify_to=verify_to)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: c_index(2, True),
+        lambda: rank_ge_limit(2, False),
+        lambda: CountTable(2, 8).rank_ge_count(True, 5),
+        lambda: CountTable(2, 8).root_rank_count(False, 5),
+        lambda: CountTable(2, 8).rank_census(5, True),
+        lambda: limit_distribution(2, True),
+        lambda: convergence_table(2, 1, [5.5, "7"]),
+        lambda: convergence_table(2, 1, [5, 7.0]),
+        lambda: convergence_table(2, 1, [True]),
+    ],
+    ids=[
+        "c_index", "limit", "rank_ge", "root_rank", "census", "distribution",
+        "grid_mixed", "grid_float", "grid_bool",
+    ],
+)
+def test_non_integer_arguments_are_rejected(call):
+    with pytest.raises(DomainError, match="must be an integer"):
+        call()
 
 
 @pytest.mark.parametrize("k, n_max", [(2, 40), (5, 101)])
@@ -649,3 +673,75 @@ def test_identity_check_fires_on_both_routes(monkeypatch, k, seq, idx, n, route)
         table = CountTable(k, 13)
         query = {"g": table.forest_count, "r": table.root_rank_count, "m": table.rank_ge_count}
         query[seq](idx, 13)
+
+
+# The exact law at finite n: the one-term forms of m_i and r_i, divided by
+# their i = 0 terms, leave a product of c_i small ratios.
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_exact_finite_n_rank_law(k):
+    n_max = 120
+    table = CountTable(k, n_max)
+    for i in range(5):
+        c = c_index(k, i)
+        for n in range(1, n_max + 1):
+            if not is_admissible(k, n):
+                continue
+            s = internal_vertices(k, n)
+            vertex_law = root_law = Fraction(1)
+            for j in range(c):
+                if s == j:  # the product is 0 here; ks - j could vanish next
+                    vertex_law = root_law = Fraction(0)
+                    break
+                vertex_law *= Fraction(s - j, k * s + 1 - j)
+                root_law *= Fraction(s - j, k * s - j)
+            assert Fraction(table.rank_ge_count(i, n), table.total_vertex_count(n)) == vertex_law
+            assert Fraction(table.root_rank_count(i, n), table.tree_count(n)) == k**i * root_law
+
+
+# The paper's polynomial split, the former closed form of m_i: the rank-i
+# series is the all-vertex series minus sum_{j<c_i} T^((k-1)j+1)/(k-1)!^j,
+# divided by k^(c_i).  Every division is exact.
+
+
+def _polynomial_split_m(k, i, n):
+    c = c_index(k, i)
+    acc = Fraction(0)
+    if is_admissible(k, n):
+        acc += (k * internal_vertices(k, n) + 1) * tree_count_closed(k, n)
+    for j in range(c):
+        power = (k - 1) * j + 1
+        if power > n:
+            break
+        acc -= coeff_T_pow(k, power, n) * factorial(n) / factorial(k - 1) ** j
+    val = acc / k**c
+    assert val.denominator == 1 and val >= 0
+    return int(val)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_polynomial_split_equals_the_one_term_form(k):
+    n_max = 301
+    table = CountTable(k, n_max)
+    for i in range(5):
+        assert [table.rank_ge_count(i, n) for n in range(1, n_max + 1)] == [
+            _polynomial_split_m(k, i, n) for n in range(1, n_max + 1)
+        ]
+
+
+@pytest.mark.parametrize("k,i", [(2, 3), (3, 2)])
+def test_closed_m_reads_one_forest_count_per_n(monkeypatch, k, i):
+    n_max = 40
+    table = CountTable(k, n_max)
+    table.root_rank_count(i, n_max)  # build r_1..r_i before counting
+    calls = []
+    closed_g = CountTable._closed_g
+
+    def counting(self, j, n):
+        calls.append((j, n))
+        return closed_g(self, j, n)
+
+    monkeypatch.setattr(CountTable, "_closed_g", counting)
+    table.rank_ge_count(i, n_max)
+    assert calls == [(k**i + 1, n + 1) for n in range(1, n_max + 1)]
