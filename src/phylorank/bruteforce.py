@@ -27,17 +27,19 @@ def _admissible_blocks(labels: tuple[int, ...], k: int) -> Iterator[tuple[tuple[
     """Unordered partitions of ``labels`` into k blocks of admissible sizes.
 
     Yielded blocks are ordered by minimum element.  ``labels`` must be sorted.
+    A block size b is admissible when (b - 1) % (k - 1) == 0; every b here
+    is at least 1.
     """
 
     def rec(remaining: tuple[int, ...], blocks_left: int):
         if blocks_left == 1:
-            if exactcount.is_admissible(k, len(remaining)):
+            if (len(remaining) - 1) % (k - 1) == 0:
                 yield (remaining,)
             return
         anchor, rest = remaining[0], remaining[1:]
         # anchor's block has admissible size b and must leave enough for the rest
         for b in range(1, len(remaining) - blocks_left + 2):
-            if not exactcount.is_admissible(k, b):
+            if (b - 1) % (k - 1):
                 continue
             if (len(remaining) - b - (blocks_left - 1)) % (k - 1) != 0:
                 continue
@@ -74,11 +76,7 @@ def enumerate_all(k: int, n: int, cap: int = DEFAULT_CAP) -> Iterator[Tree]:
     The stream is empty for inadmissible n.  Raises :class:`DomainError` when
     the total count would exceed ``cap``.
     """
-    if k < 2:
-        raise DomainError(f"branching factor must be >= 2, got {k}")
-    if n < 1:
-        raise DomainError(f"leaf count must be >= 1, got {n}")
-    total = exactcount.tree_count_closed(k, n)
+    total = exactcount.tree_count_closed(k, n)  # checks k and n
     if total > cap:
         raise DomainError(
             f"enumeration of {total} trees exceeds the safety cap {cap}"

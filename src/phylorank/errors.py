@@ -30,3 +30,9 @@ class NewickParseError(PhyloRankError, ValueError):
 
 class InvalidTreeError(PhyloRankError, ValueError):
     """Raised when a structurally parsed tree violates a tree invariant."""
+
+
+def require_int(value, name: str, minimum: int) -> None:
+    """Raise :class:`DomainError` unless ``value`` is an int, not a bool, >= ``minimum``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")

@@ -28,7 +28,7 @@ from math import ceil, comb, factorial, gcd, log2
 from operator import mul
 from typing import Sequence
 
-from .errors import ConsistencyError, DomainError, TableCoverageError
+from .errors import ConsistencyError, DomainError, TableCoverageError, require_int
 from .treecore import RankCensus
 
 __all__ = [
@@ -53,18 +53,15 @@ __all__ = [
 
 
 def _check_k(k: int) -> None:
-    if not isinstance(k, int) or isinstance(k, bool) or k < 2:
-        raise DomainError(f"branching factor must be an integer >= 2, got {k!r}")
+    require_int(k, "branching factor", 2)
 
 
 def _check_n(n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"leaf count must be an integer >= 1, got {n!r}")
+    require_int(n, "leaf count", 1)
 
 
 def _check_rank(i: int, name: str = "rank index") -> None:
-    if not isinstance(i, int) or isinstance(i, bool) or i < 0:
-        raise DomainError(f"{name} must be an integer >= 0, got {i!r}")
+    require_int(i, name, 0)
 
 
 def _exact_div(num: int, den: int, what: str) -> int:

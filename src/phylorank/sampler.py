@@ -29,7 +29,7 @@ import random
 from math import comb, exp, inf, log
 from typing import Iterator, Sequence
 
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, require_int
 from .exactcount import CountTable, is_admissible
 from .treecore import Tree, Vertex, internal, leaf
 
@@ -172,25 +172,6 @@ def _pick_block_size(
     return _exact_block_size(g, m, slots, u)
 
 
-class _Frame:
-    __slots__ = ("parent", "expect", "children")
-
-    def __init__(self, parent, expect):
-        self.parent = parent
-        self.expect = expect
-        self.children = []
-
-
-def _attach(frame: _Frame, node: Vertex) -> None:
-    # close completed frames upward without recursion
-    while True:
-        frame.children.append(node)
-        if frame.parent is None or len(frame.children) < frame.expect:
-            return
-        node = internal(frame.children)
-        frame = frame.parent
-
-
 def _build_root(
     g: Sequence[Sequence[int]], logs: Sequence[Sequence[float]], margin: float,
     n: int, rng: random.Random,
@@ -198,24 +179,31 @@ def _build_root(
     k = len(g) - 1
     perm = list(range(1, n + 1))
     rng.shuffle(perm)
-    sentinel = _Frame(parent=None, expect=1)
-    # (start, size, parent): the block perm[start:start+size] under parent
-    work: list[tuple[int, int, _Frame]] = [(0, n, sentinel)]
+    # (start, size): expand the block perm[start:start+size]; None: the k
+    # vertices on top of `built` are complete, join them under one parent
+    work: list[tuple[int, int] | None] = [(0, n)]
+    built: list[Vertex] = []
     while work:
-        start, m, parent = work.pop()
-        if m == 1:
-            _attach(parent, leaf(perm[start]))
+        block = work.pop()
+        if block is None:
+            kids = built[-k:]
+            del built[-k:]
+            built.append(internal(kids))
             continue
-        frame = _Frame(parent=parent, expect=k)
+        start, m = block
+        if m == 1:
+            built.append(leaf(perm[start]))
+            continue
+        work.append(None)
         for slots in range(k, 1, -1):
             # u uniform below the exact total weight g_slots(m)
             u = rng.randrange(g[slots][m])
             a = _pick_block_size(g, logs, margin, m, slots, u)
-            work.append((start, a, frame))
+            work.append((start, a))
             start += a
             m -= a
-        work.append((start, m, frame))
-    return sentinel.children[0]
+        work.append((start, m))
+    return built[0]
 
 
 def sample_batch(
@@ -232,8 +220,7 @@ def sample_batch(
     batch is reproducible and its first m trees equal the batch of count m.
     A missing ``table`` is built on the fly.
     """
-    if count < 0:
-        raise DomainError("count must be >= 0")
+    require_int(count, "count", 0)
     if count == 0:
         return
     if not is_admissible(k, n):

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import bruteforce
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, require_int
 from .exactcount import (
     CountTable,
     internal_vertices,
@@ -120,10 +120,8 @@ def estimate_rank_distribution(
     "random vertex of a random tree" model coincide; this is asserted per
     sampled tree.
     """
-    if samples < 1:
-        raise DomainError("samples must be >= 1")
-    if max_rank < 0:
-        raise DomainError("max_rank must be >= 0")
+    require_int(samples, "samples", 1)
+    require_int(max_rank, "max_rank", 0)
     if not is_admissible(k, n):
         raise DomainError(f"n={n} is inadmissible for k={k}")
     expected_vertices = k * internal_vertices(k, n) + 1
@@ -235,8 +233,7 @@ def chi_square_uniformity(
     statistic to the chi-square critical value at ``significance`` with
     support-1 degrees of freedom.
     """
-    if samples < 1:
-        raise DomainError("samples must be >= 1")
+    require_int(samples, "samples", 1)
     support = [to_newick(t) for t in bruteforce.enumerate_all(k, n, cap=support_cap)]
     size = len(support)
     if size == 0:

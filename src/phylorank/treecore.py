@@ -12,17 +12,22 @@ The *rank* of a vertex is its distance to the nearest descendant leaf: leaves
 have rank 0, parents of leaves have rank 1, and so on.  It depends only on the
 subtree, so every vertex records it when built (``Vertex.rank``).
 
-All traversals are iterative; trees with thousands of leaves (and hence
-potentially very deep spines) are safe to process.
+A :class:`Tree` computes its preorder vertex list once, on first use, and
+caches it together with its Newick string: the census, ``rank_of``,
+validation and serialization all read that one list.  All traversals are
+iterative; trees with thousands of leaves (and hence potentially very deep
+spines) are safe to process.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from operator import attrgetter
+from typing import Iterable
 
-from .errors import DomainError, InvalidTreeError, NewickParseError
+from .errors import DomainError, InvalidTreeError, NewickParseError, require_int
 
 
 class Vertex:
@@ -62,45 +67,55 @@ def leaf(label: int) -> Vertex:
     return Vertex(label, (), label, 1, 0)
 
 
+_min_label = attrgetter("min_label")
+_size = attrgetter("size")
+_rank = attrgetter("rank")
+
+
 def internal(children) -> Vertex:
     """An internal vertex over ``children``, stored in canonical order.
 
     Siblings have disjoint leaf-label sets in a valid tree, so the
     (size, min-label) key is a total order and the stored form is unique.
     """
-    kids = tuple(sorted(children, key=Vertex.sort_key))
+    kids = sorted(children, key=_min_label)
     if not kids:
         raise DomainError("an internal vertex needs at least one child")
+    # stable, reverse included: the order of Vertex.sort_key, by C-level keys
+    kids.sort(key=_size, reverse=True)
     return Vertex(
         None,
-        kids,
-        min(c.min_label for c in kids),
-        sum(c.size for c in kids),
-        1 + min(c.rank for c in kids),
+        tuple(kids),
+        min(map(_min_label, kids)),
+        sum(map(_size, kids)),
+        1 + min(map(_rank, kids)),
     )
 
 
 class Tree:
     """A k-phylogenetic tree: a canonical root vertex plus its branching factor."""
 
-    __slots__ = ("root", "k", "_newick", "_members")
+    __slots__ = ("root", "k", "_preorder", "_newick", "_members")
 
     def __init__(self, root: Vertex, k: int):
-        if not isinstance(k, int) or k < 2:
-            raise DomainError(f"branching factor must be an integer >= 2, got {k!r}")
+        require_int(k, "branching factor", 2)
         self.root = root
         self.k = k
+        self._preorder = None
         self._newick = None
         self._members = None  # ids of this tree's vertices, built on demand
 
-    def vertices(self) -> Iterator[Vertex]:
-        """All vertices in preorder (iterative)."""
-        stack = [self.root]
-        while stack:
-            v = stack.pop()
-            yield v
-            if not v.is_leaf:
-                stack.extend(reversed(v.children))
+    def vertices(self) -> tuple[Vertex, ...]:
+        """All vertices in preorder, computed once (iteratively) and cached."""
+        if self._preorder is None:
+            order = []
+            stack = [self.root]
+            while stack:
+                v = stack.pop()
+                order.append(v)
+                stack += v.children[::-1]
+            self._preorder = tuple(order)
+        return self._preorder
 
     def leaf_labels(self) -> list[int]:
         """Labels of all leaves, in no particular order (duplicates preserved)."""
@@ -112,7 +127,7 @@ class Tree:
 
     @property
     def n_vertices(self) -> int:
-        return sum(1 for _ in self.vertices())
+        return len(self.vertices())
 
     def __eq__(self, other):
         if not isinstance(other, Tree):
@@ -158,21 +173,16 @@ class RankCensus:
     @classmethod
     def of_trees(cls, k: int, n: int, trees: Iterable[Tree], max_rank: int) -> "RankCensus":
         """Census of every vertex of ``trees``, all on leaf set {1..n}."""
-        if max_rank < 0:
-            raise DomainError("max_rank must be >= 0")
-        exact = [0] * (max_rank + 1)
-        tail = total = 0
+        require_int(max_rank, "max_rank", 0)
+        by_rank = Counter()
         for tree in trees:
-            for v in tree.vertices():
-                total += 1
-                if v.rank <= max_rank:
-                    exact[v.rank] += 1
-                else:
-                    tail += 1
+            by_rank.update(map(_rank, tree.vertices()))
+        total = sum(by_rank.values())
         if not total:
             return cls(k=k, n=n, exact=(), ratios=(), tail=0, total=0)
+        exact = tuple(by_rank[i] for i in range(max_rank + 1))
         ratios = tuple(Fraction(e, total) for e in exact)
-        return cls(k=k, n=n, exact=tuple(exact), ratios=ratios, tail=tail, total=total)
+        return cls(k=k, n=n, exact=exact, ratios=ratios, tail=total - sum(exact), total=total)
 
 
 def validate(tree: Tree) -> str | None:
@@ -210,7 +220,7 @@ def is_valid(tree: Tree) -> bool:
 def rank_of(tree: Tree, vertex: Vertex) -> int:
     """Rank of ``vertex``: distance to its nearest descendant leaf."""
     if tree._members is None:
-        tree._members = frozenset(id(v) for v in tree.vertices())
+        tree._members = frozenset(map(id, tree.vertices()))
     if id(vertex) not in tree._members:
         raise DomainError("vertex does not belong to this tree")
     return vertex.rank
@@ -224,13 +234,18 @@ def census_of(tree: Tree, max_rank: int) -> RankCensus:
 def to_newick(tree: Tree) -> str:
     """Canonical Newick serialization, e.g. ``((1,2),3);`` — children in canonical order."""
     if tree._newick is None:
-        parts: dict[int, str] = {}
-        for v in reversed(list(tree.vertices())):
-            if v.is_leaf:
-                parts[id(v)] = str(v.label)
+        # Reverse preorder meets every vertex after its subtree, and leaves
+        # its first child's string on top of the stack.
+        stack: list[str] = []
+        for v in reversed(tree.vertices()):
+            if v.label is not None:
+                stack.append(str(v.label))
             else:
-                parts[id(v)] = "(" + ",".join(parts[id(c)] for c in v.children) + ")"
-        tree._newick = parts[id(tree.root)] + ";"
+                d = len(v.children)
+                text = "(" + ",".join(stack[:-d - 1:-1]) + ")"
+                del stack[-d:]
+                stack.append(text)
+        tree._newick = stack[0] + ";"
     return tree._newick
 
 

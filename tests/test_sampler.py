@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 
@@ -95,6 +96,24 @@ def test_k_mismatch(table):
 def test_bad_arguments(table):
     with pytest.raises(DomainError):
         list(sample_batch(2, 5, -1, base_seed=1, table=table))
+
+
+# sha256 of the canonical Newick strings, one per line, of these seeded
+# batches, recorded with the sampler of commit 062ff24 (frame-based tree
+# assembly).  The goldens only cover tiny n; this pins the random stream,
+# and so every size draw and its assembly, at real sizes.
+STREAM_PIN_BATCHES = [(2, 1001, 20), (3, 301, 50), (5, 201, 50)]
+STREAM_PIN_SEED = 2026
+STREAM_PIN_SHA256 = "96bf5676e7a0021b40262b299e7cf75604e8629e17804419fdead824c9d70304"
+
+
+def test_stream_pin_at_real_sizes(table_k2_1001):
+    digest = hashlib.sha256()
+    for k, n, count in STREAM_PIN_BATCHES:
+        table = table_k2_1001 if k == 2 else CountTable(k, n)
+        for t in sample_batch(k, n, count, base_seed=STREAM_PIN_SEED, table=table):
+            digest.update(to_newick(t).encode() + b"\n")
+    assert digest.hexdigest() == STREAM_PIN_SHA256
 
 
 def test_composition_total_tripwire(monkeypatch):

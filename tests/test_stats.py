@@ -5,12 +5,14 @@ import pytest
 
 from phylorank.errors import DomainError
 from phylorank.exactcount import CountTable, rank_eq_limit
+from phylorank.sampler import sample_batch
 from phylorank.stats import (
     chi_square_critical,
     chi_square_uniformity,
     convergence_table,
     estimate_rank_distribution,
 )
+from phylorank.treecore import RankCensus
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +68,23 @@ def test_estimate_domain_errors(table):
         estimate_rank_distribution(2, 9, 0, base_seed=1, max_rank=2, table=table)
     with pytest.raises(DomainError):
         estimate_rank_distribution(3, 4, 5, base_seed=1, max_rank=2)
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.5, "3", None])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: estimate_rank_distribution(2, 5, v, 1, 2),
+        lambda v: estimate_rank_distribution(2, 5, 4, 1, v),
+        lambda v: chi_square_uniformity(2, 3, v, 1),
+        lambda v: RankCensus.of_trees(2, 3, [], v),
+        lambda v: list(sample_batch(2, 5, v, 1)),
+    ],
+    ids=["estimate-samples", "estimate-max_rank", "chi-square-samples", "census-max_rank", "sample-count"],
+)
+def test_counts_must_be_ints(call, bad):
+    with pytest.raises(DomainError, match="must be an integer"):
+        call(bad)
 
 
 def test_estimate_serialization(table):

@@ -1,0 +1,45 @@
+"""The package's runtime is the standard library alone: every import in
+``src/phylorank`` names a standard-library module or ``phylorank`` itself
+(relative imports are the package's own)."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "phylorank"
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Each top-level module `source` imports from outside the standard
+    library and the package."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            top = name.split(".")[0]
+            if top not in sys.stdlib_module_names and top != "phylorank":
+                found.append(top)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_runtime_imports_are_stdlib_only(path):
+    assert foreign_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_guard_catches_foreign_imports():
+    source = (
+        "import os.path, numpy as np\n"
+        "from scipy.stats import chi2\n"
+        "from operator import attrgetter\n"
+        "from . import exactcount\n"
+        "from phylorank.errors import DomainError\n"
+    )
+    assert foreign_imports(source) == ["numpy", "scipy"]

@@ -1,11 +1,15 @@
+import itertools
 import math
 
 import pytest
 
 from phylorank import bruteforce
 from phylorank.errors import DomainError, InvalidTreeError, NewickParseError
+from phylorank.exactcount import CountTable
+from phylorank.sampler import sample_batch
 from phylorank.treecore import (
     Tree,
+    Vertex,
     census_of,
     from_newick,
     internal,
@@ -186,3 +190,77 @@ def test_deep_tree_is_safe():
     assert t.n_leaves == 600
     assert rank_of(t, t.root) == 1
     assert to_newick(t).count("(") == 599
+
+
+# ----- the cached preorder, the stack-built Newick and the canonical sort ---
+
+
+def _preorder_reference(v):
+    out = [v]
+    for c in v.children:
+        out += _preorder_reference(c)
+    return out
+
+
+def _newick_reference(v):
+    if v.is_leaf:
+        return str(v.label)
+    return "(" + ",".join(_newick_reference(c) for c in v.children) + ")"
+
+
+def _reference_trees():
+    for k, n_max in ((2, 7), (3, 9)):
+        for n in range(1, n_max + 1):
+            yield from bruteforce.enumerate_all(k, n)
+
+
+def _sampled_trees(table_k2_1001):
+    yield from sample_batch(2, 1001, 20, base_seed=17, table=table_k2_1001)
+    yield from sample_batch(4, 301, 20, base_seed=17, table=CountTable(4, 301))
+
+
+def test_vertices_is_the_recursive_preorder(table_k2_1001):
+    for t in itertools.chain(_reference_trees(), _sampled_trees(table_k2_1001)):
+        expected = _preorder_reference(t.root)
+        assert list(t.vertices()) == expected
+        assert list(t.vertices()) == expected
+        assert t.n_vertices == len(expected)
+
+
+def test_newick_is_the_recursive_serialization(table_k2_1001):
+    checked = 0
+    for t in itertools.chain(_reference_trees(), _sampled_trees(table_k2_1001)):
+        assert to_newick(t) == _newick_reference(t.root) + ";"
+        checked += 1
+    assert checked == 11465 + 15692 + 40
+
+
+def _sibling_sets(k):
+    """Children for one internal vertex over disjoint labels: all leaves,
+    all equal-size internal vertices, and mixed sizes with ties, where the
+    smaller subtrees hold the smaller labels."""
+    leaves = [leaf(j) for j in range(1, k + 1)]
+    subtrees = [internal([leaf(100 + k * i + j) for j in range(k)]) for i in range(k)]
+    return [
+        leaves,
+        subtrees,
+        leaves[: k - 1] + subtrees[:1],
+        leaves[: k - 2] + subtrees[:2],
+    ]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_internal_sorts_every_permutation_canonically(k):
+    for children in _sibling_sets(k):
+        expected = sorted(children, key=Vertex.sort_key)
+        for perm in itertools.permutations(children):
+            v = internal(perm)
+            assert list(v.children) == expected
+            assert v.min_label == min(c.min_label for c in children)
+            assert v.size == sum(c.size for c in children)
+            assert v.rank == 1 + min(c.rank for c in children)
+
+
+def test_internal_needs_a_child():
+    with pytest.raises(DomainError):
+        internal([])
