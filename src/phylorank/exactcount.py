@@ -5,7 +5,8 @@ Each counting sequence is computed along two independent routes:
 
 * closed forms, each one term of the family g_p(n) = n! [x^n] T^p, the
   ordered p-forest counts, whose coefficients Lagrange inversion gives
-  (``coeff_T_pow``), and
+  (``coeff_T_pow``); a table builds each g_p along n by its exact term
+  ratio, from g_p(p) = p! (``_forest_count_array``), and
 * labelled (binomial) convolution identities over labeled structures
   (root removal: a tree is a root plus an unordered set of k subtrees).
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, comb, factorial, gcd, log2
+from math import ceil, comb, factorial, gcd, log2, prod
 from operator import mul
 from typing import Sequence
 
@@ -112,16 +113,38 @@ def coeff_T_pow(k: int, power: int, n: int) -> Fraction:
     return Fraction(num, den)
 
 
-def _labeled_pow_count(k: int, power: int, n: int, fact_n: int, kfac_pow_s: Sequence[int] | None = None) -> int:
+def _labeled_pow_count(k: int, power: int, n: int, fact_n: int) -> int:
     """n! * [x^n] T^power: the number of ordered `power`-tuples of disjoint trees
     whose leaf sets partition {1..n}.  Always an integer; exactness asserted."""
     if n < power or (n - power) % (k - 1) != 0:
         return 0
     s = (n - power) // (k - 1)
-    kfs = kfac_pow_s[s] if kfac_pow_s is not None else factorial(k) ** s
     num = fact_n * power * comb(k * s + power - 1, s)
-    den = (s * (k - 1) + power) * kfs
+    den = (s * (k - 1) + power) * factorial(k) ** s
     return _exact_div(num, den, f"ordered {power}-forest count at n={n}")
+
+
+def _forest_count_array(k: int, p: int, upto: int) -> list[int]:
+    """g_p(n) = n! [x^n] T^p for n = 0..upto, by the exact term ratio.
+
+    With n = (k-1) s + p and N = k s + p - 1 = n + s - 1, the closed form
+    p (n-1)! C(N, s) / k!^s is p N! / (s! k!^s).  So g_p(p) = p! and each step
+    s -> s+1 (n -> n+k-1) multiplies by (N+1)...(N+k) / ((s+1) k!): a product
+    of k small integers, then an exact division by a small integer.
+    """
+    out = [0] * (upto + 1)
+    kfac, g = factorial(k), factorial(p)
+    for s, n in enumerate(range(p, upto + 1, k - 1)):
+        if s:
+            top = k * s + p - 1  # N at this s
+            g, r = divmod(g * prod(range(top - k + 1, top + 1)), s * kfac)
+            if r:
+                raise ConsistencyError(
+                    f"ordered {p}-forest count g_{p}({n}) is no integer: the term ratio "
+                    f"from n={n - k + 1} leaves remainder {r} modulo {s * kfac}"
+                )
+        out[n] = g
+    return out
 
 
 def _cauchy_product(u: Sequence[int], v: Sequence[int], upto: int) -> list[int]:
@@ -363,9 +386,12 @@ class CountTable:
     t = g_1, f_{k-1} = g_{k-1} / (k-1)!, r_i(n) = g_{k^i}(n) / k!^(c_i) and
     m_i(n) = g_{k^i+1}(n+1) / ((k^i+1) k!^(c_i)), the last because
     M_i = R_i T' = (T^(k^i+1))' / ((k^i+1) k!^(c_i)); so m_0(n) = g_2(n+1)/2.
-    Each is checked against an identity before it is stored (``*`` is the
-    labelled convolution; one comparer, ``_check_identity``, checks all three
-    convolution identities):
+    Each g_p is built along n from g_p(p) = p! by its exact term ratio, one
+    product of k small integers and one exact division by a small integer
+    per step; the g_p read by r_i or m_i reaches n_max + 1 and is dropped
+    once that sequence is formed.  Each sequence is checked against an
+    identity before it is stored (``*`` is the labelled convolution; one
+    comparer, ``_check_identity``, checks all three convolution identities):
 
     * forest tower ``g_j = g_{floor(j/2)} * g_{ceil(j/2)}`` for n <= verify_to,
       with g_1 = t; g_j for j <= k is built at construction, larger j by
@@ -406,15 +432,10 @@ class CountTable:
         self.n_max = n_max
         self.verify_to = min(verify_to, n_max)
 
-        # 0!..(n_max+1)!: m_i(n) reads g_p at n + 1
-        self._fact = [1] * (n_max + 2)
-        for i in range(1, n_max + 2):
+        self._fact = [1] * (n_max + 1)
+        for i in range(1, n_max + 1):
             self._fact[i] = self._fact[i - 1] * i
         self._kfac = factorial(k)
-        # powers of k! indexed by s or by c_i; neither exceeds n_max / (k-1)
-        self._kfac_pows = [1] * (n_max // (k - 1) + 2)
-        for s in range(1, len(self._kfac_pows)):
-            self._kfac_pows[s] = self._kfac_pows[s - 1] * self._kfac
 
         # ordered j-forest counts g_j(n) = n! [x^n] T^j, j = 1..k now, larger
         # j on demand by forest_count
@@ -437,20 +458,25 @@ class CountTable:
         self._zeros = (0,) * (n_max + 1)
         self._r: dict[int, Sequence[int]] = {0: self._t}
         self._m: dict[int, Sequence[int]] = {}
+        # closed g_p through n_max + 1 (m_i(n) reads g_p(n + 1)), built on the
+        # first read and dropped once the r_i or m_i read from it is formed
+        self._closed: dict[int, list[int]] = {}
         self._lock = threading.RLock()
 
     # ----- closed forms -------------------------------------------------
 
     def _closed_g(self, j: int, n: int) -> int:
-        return _labeled_pow_count(self.k, j, n, self._fact[n], self._kfac_pows)
+        if j not in self._closed:
+            self._closed[j] = _forest_count_array(self.k, j, self.n_max + 1)
+        return self._closed[j][n]
 
     def _closed_g_array(self, j: int) -> list[int]:
-        return [0] + [self._closed_g(j, n) for n in range(1, self.n_max + 1)]
+        return _forest_count_array(self.k, j, self.n_max)
 
     def _closed_r(self, i: int, n: int) -> int:
         """r_i(n) = g_{k^i}(n) / k!^(c_i)."""
         return _exact_div(
-            self._closed_g(self.k**i, n), self._kfac_pows[c_index(self.k, i)],
+            self._closed_g(self.k**i, n), self._kfac ** c_index(self.k, i),
             f"root-rank count r_{i}({n})",
         )
 
@@ -458,7 +484,7 @@ class CountTable:
         """m_i(n) = g_{k^i+1}(n+1) / ((k^i+1) k!^(c_i)); m_0(n) = g_2(n+1)/2."""
         power = self.k**i + 1
         return _exact_div(
-            self._closed_g(power, n + 1), power * self._kfac_pows[c_index(self.k, i)],
+            self._closed_g(power, n + 1), power * self._kfac ** c_index(self.k, i),
             f"rank-at-least count m_{i}({n})",
         )
 
@@ -555,6 +581,7 @@ class CountTable:
     def _build_r(self, i: int) -> list[int]:
         """Closed r_i, checked against k! r_i = r_{i-1}^{*k} through verify_to."""
         closed = [0] + [self._closed_r(i, n) for n in range(1, self.n_max + 1)]
+        self._closed.pop(self.k**i, None)
         self._check_identity(
             "root-rank count", f"r_{i}", closed, ((f"r_{i - 1}", self._r[i - 1]),) * self.k,
             self.verify_to, scale=self._kfac,
@@ -564,6 +591,7 @@ class CountTable:
     def _build_m(self, i: int) -> list[int]:
         """Closed m_i, checked against m_i = r_i + m_i * f_{k-1} at every n."""
         closed = [0] + [self._closed_m(i, n) for n in range(1, self.n_max + 1)]
+        self._closed.pop(self.k**i + 1, None)
         self._check_identity(
             "rank-at-least count", f"m_{i}", closed,
             ((f"m_{i}", closed), (f"f_{self.k - 1}", self._fkm1)), self.n_max,

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, require_int
 from .exactcount import c_index
 
 __all__ = [
@@ -39,8 +39,7 @@ class TruncatedSeries:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, coeffs, order: int):
-        if order < 0:
-            raise DomainError("truncation order must be >= 0")
+        require_int(order, "truncation order", 0)
         cs = [Fraction(c) for c in coeffs[: order + 1]]
         cs.extend([Fraction(0)] * (order + 1 - len(cs)))
         self.order = order
@@ -114,12 +113,18 @@ class TruncatedSeries:
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
             raise DomainError("series powers must be nonnegative integers")
-        result = TruncatedSeries.one(self.order)
+        if e == 0:
+            return TruncatedSeries.one(self.order)
         base = self
+        while not e & 1:
+            base = base * base
+            e >>= 1
+        result = base  # the lowest set bit; square only while higher bits remain
+        e >>= 1
         while e:
+            base = base * base
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
         return result
 
@@ -157,7 +162,7 @@ class TruncatedSeries:
         return f"TruncatedSeries([{head}{tail}], order={self.order})"
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=8, typed=True)
 def solve_T(k: int, order: int) -> TruncatedSeries:
     """The tree series through ``order``: the unique fixed point of
     T = x + T^k/k! with zero constant term, by iteration from T = x.
@@ -165,12 +170,11 @@ def solve_T(k: int, order: int) -> TruncatedSeries:
     Each pass fixes at least k-1 further coefficients, so the iteration
     stabilizes within ``order`` passes; stabilization is asserted.  Results
     are immutable and memoized on (k, order), so the identities that share
-    one series solve it once.
+    one series solve it once; the memo is typed, so ``True`` or ``2.0`` never
+    hits an entry made for 1 or 2 and is refused below.
     """
-    if k < 2:
-        raise DomainError("branching factor must be >= 2")
-    if order < 1:
-        raise DomainError("truncation order must be >= 1")
+    require_int(k, "branching factor", 2)
+    require_int(order, "truncation order", 1)
     x = TruncatedSeries.x(order)
     inv_kfac = Fraction(1, factorial(k))
     T = x

@@ -745,3 +745,47 @@ def test_closed_m_reads_one_forest_count_per_n(monkeypatch, k, i):
     monkeypatch.setattr(CountTable, "_closed_g", counting)
     table.rank_ge_count(i, n_max)
     assert calls == [(k**i + 1, n + 1) for n in range(1, n_max + 1)]
+
+
+# The closed g_p arrays are built along n by the exact term ratio; the
+# per-n Lagrange form coeff_T_pow is the reference.  m_i(n_max) reads
+# g_{k^i+1}(n_max + 1), one term past the table, so both parities of n_max
+# are covered.
+
+
+@pytest.mark.parametrize("n_max", [129, 130])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_ratio_built_forms_match_the_lagrange_form(k, n_max):
+    table = CountTable(k, n_max)
+    for j in range(1, 2 * k + 2):
+        expected = [coeff_T_pow(k, j, n) * factorial(n) for n in range(1, n_max + 1)]
+        if j <= k:
+            assert list(table.ordered_forest_counts(j)[1:]) == expected
+        assert [table.forest_count(j, n) * factorial(j) for n in range(1, n_max + 1)] == expected
+    for i in range(4):
+        kfac_c = factorial(k) ** c_index(k, i)
+        r = coeff_T_pow(k, k**i, n_max) * factorial(n_max) / kfac_c
+        m = coeff_T_pow(k, k**i + 1, n_max + 1) * factorial(n_max + 1) / ((k**i + 1) * kfac_c)
+        assert table.root_rank_count(i, n_max) == r
+        assert table.rank_ge_count(i, n_max) == m
+    assert not table._closed  # each g_p array is dropped once r_i or m_i is formed
+
+
+def test_term_ratio_refuses_an_inexact_step(monkeypatch):
+    # a wrong k! (3 for k=2) makes the first step 1 * (1*2) / 3
+    monkeypatch.setattr(exactcount, "factorial", lambda m: 3 if m == 2 else factorial(m))
+    with pytest.raises(ConsistencyError, match=r"g_1\(2\) is no integer"):
+        CountTable(2, 10)
+
+
+def test_table_forms_no_binomial_per_n(monkeypatch):
+    # the per-n Lagrange form called comb once per n per sequence
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return comb(*args)
+
+    monkeypatch.setattr(exactcount, "comb", counting)
+    CountTable(2, 200).rank_ge_count(2, 200)
+    assert len(calls) <= 2

@@ -118,10 +118,10 @@ def test_ring_axioms_spot_checks():
 def test_power_matches_repeated_multiplication():
     rng = random.Random(7)
     a = _random_series(rng, 15)
-    assert a**0 == TruncatedSeries.one(15)
-    assert a**1 == a
-    assert a**3 == a * a * a
-    assert a**5 == a * a * a * a * a
+    product = TruncatedSeries.one(15)
+    for e in range(21):
+        assert a**e == product, e
+        product = product * a
 
 
 def test_unit_division_roundtrip():
@@ -178,6 +178,29 @@ def test_domain_errors():
         oracle_R(2, -1, 5)
     with pytest.raises(DomainError):
         TruncatedSeries.one(4) ** -2
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: solve_T(2, True),
+        lambda: solve_T(2, 2.5),
+        lambda: solve_T(2, 4.0),
+        lambda: solve_T(2.0, 4),
+        lambda: solve_T(True, 4),
+        lambda: solve_T("2", 4),
+        lambda: TruncatedSeries([1, 2], 1.5),
+        lambda: TruncatedSeries([1, 2], True),
+    ],
+    ids=["order-bool", "order-float", "order-integral-float", "k-float", "k-bool", "k-str",
+         "series-order-float", "series-order-bool"],
+)
+def test_non_integer_k_and_order_rejected(make):
+    # prime the memo with the int keys these compare equal to: a typed memo
+    # must not hand back solve_T(2, 1) for solve_T(2, True)
+    solve_T(2, 1), solve_T(2, 4)
+    with pytest.raises(DomainError, match="must be an integer"):
+        make()
 
 
 def test_factorial_scaling_consistency():
