@@ -119,8 +119,7 @@ def _cmd_limits(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    table = _make_table(args.k, args.n, args.full_verify)
-    newicks = [to_newick(t) for t in sample_batch(args.k, args.n, args.count, args.seed, table=table)]
+    newicks = [to_newick(t) for t in sample_batch(args.k, args.n, args.count, args.seed)]
     if args.format == "json":
         payload = {
             "command": "sample",
@@ -137,14 +136,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    table = _make_table(args.k, args.n, args.full_verify)
     report = stats.estimate_rank_distribution(
-        args.k,
-        args.n,
-        args.samples,
-        args.seed,
-        args.max_rank,
-        table=table,
+        args.k, args.n, args.samples, args.seed, args.max_rank
     )
     if args.format == "json":
         payload = {"command": "estimate", **report.to_json_dict()}
@@ -226,9 +219,7 @@ def _cmd_verify(args) -> int:
         (n for n in range(2, n_max + 1) if 3 <= table.tree_count(n) <= 200), None
     )
     if n_chi is not None:
-        rep = stats.chi_square_uniformity(
-            k, n_chi, samples=3000, base_seed=args.seed, table=table
-        )
+        rep = stats.chi_square_uniformity(k, n_chi, samples=3000, base_seed=args.seed)
         check(
             f"chi-square uniformity at n={n_chi} "
             f"(stat {rep.statistic:.2f} < {rep.critical:.2f})",
@@ -287,7 +278,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--full-verify", action="store_true")
     add_common(p, fmt_choices=("newick", "json"))
     p.set_defaults(func=_cmd_sample)
 
@@ -297,7 +287,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-rank", type=int, default=3)
-    p.add_argument("--full-verify", action="store_true")
     add_common(p)
     p.set_defaults(func=_cmd_estimate)
 

@@ -103,8 +103,7 @@ def coeff_T_pow(k: int, power: int, n: int) -> Fraction:
     """
     _check_k(k)
     _check_n(n)
-    if not isinstance(power, int) or power < 1:
-        raise DomainError(f"series power must be an integer >= 1, got {power!r}")
+    require_int(power, "series power", 1)
     if n < power or (n - power) % (k - 1) != 0:
         return Fraction(0)
     s = (n - power) // (k - 1)
@@ -339,8 +338,7 @@ def log_concavity_over_ranks(k: int, i_max: int) -> LogConcavityReport:
     This direction is not a claimed property; the report is informational.
     """
     _check_k(k)
-    if i_max < 2:
-        raise DomainError("i_max must be >= 2")
+    require_int(i_max, "i_max", 2)
     return _concavity_scan(
         "rank", k, range(1, i_max), lambda i: _point_prob_pair(k, i)
     )
@@ -548,13 +546,13 @@ class CountTable:
                 )
 
     def _verify_composition_totals(self) -> None:
-        """The ordered k-forest counts (the sampler's composition weights) must
-        sum to k! * t(n) at every n <= n_max, whatever ``verify_to`` is."""
+        """g_k(n) = k! * t(n) at every 2 <= n <= n_max, whatever ``verify_to`` is:
+        the k root subtrees of a tree, put in order, are one ordered k-forest."""
         g_k = self._g[self.k]
         for n in range(2, self.n_max + 1):
             if g_k[n] != self._kfac * self._t[n]:
                 raise ConsistencyError(
-                    f"composition weights at n={n} sum to {g_k[n]}, "
+                    f"ordered {self.k}-forest count at n={n} is {g_k[n]}, "
                     f"expected k!*t = {self._kfac * self._t[n]}"
                 )
 
@@ -636,14 +634,14 @@ class CountTable:
         """g_j(n) = n! [x^n] T^j for n = 0..n_max and 1 <= j <= k: ordered
         j-tuples of disjoint trees whose leaf sets partition {1..n}.
         g_1 is the tree counts."""
-        if not isinstance(j, int) or not 1 <= j <= self.k:
+        require_int(j, "ordered forest size", 1)
+        if j > self.k:
             raise DomainError(f"ordered forest size must be in 1..{self.k}, got {j!r}")
         return self._g[j]
 
     def forest_count(self, j: int, n: int) -> int:
         """Unordered forests of j disjoint trees whose leaf sets partition {1..n}."""
-        if not isinstance(j, int) or j < 1:
-            raise DomainError(f"forest size must be an integer >= 1, got {j!r}")
+        require_int(j, "forest size", 1)
         self._check_cover(n)
         if j > n:
             return 0  # a j-forest has at least j leaves

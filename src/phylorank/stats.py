@@ -111,7 +111,6 @@ def estimate_rank_distribution(
     samples: int,
     base_seed: int,
     max_rank: int,
-    table: CountTable | None = None,
 ) -> EstimateReport:
     """Monte Carlo rank frequencies over ``samples`` uniform trees.
 
@@ -129,7 +128,7 @@ def estimate_rank_distribution(
     counts = [0] * (max_rank + 1)
     tail = 0
     total = 0
-    for tree in sample_batch(k, n, samples, base_seed, table=table):
+    for tree in sample_batch(k, n, samples, base_seed):
         census = census_of(tree, max_rank)
         if census.total != expected_vertices:
             raise ConsistencyError(
@@ -224,7 +223,6 @@ def chi_square_uniformity(
     base_seed: int,
     significance: float = 0.001,
     support_cap: int = 10**5,
-    table: CountTable | None = None,
 ) -> UniformityReport:
     """Pearson goodness-of-fit of the sampler against the uniform distribution.
 
@@ -239,10 +237,7 @@ def chi_square_uniformity(
     if size == 0:
         raise DomainError(f"n={n} is inadmissible for k={k}: empty support")
 
-    counts = Counter(
-        to_newick(t)
-        for t in sample_batch(k, n, samples, base_seed, table=table)
-    )
+    counts = Counter(to_newick(t) for t in sample_batch(k, n, samples, base_seed))
     unknown = set(counts) - set(support)
     if unknown:
         raise ConsistencyError(f"sampler produced trees outside the support: {unknown}")

@@ -30,7 +30,7 @@ GRID = (3, 11, 101, 501, 1001, 2001)
 
 # chi-square 0.001-significance critical values, frozen from the quantile
 # routine before the build
-CRITICAL = {2: 13.8155, 14: 36.1233, 104: 154.3141, 279: 357.7288}
+CRITICAL = {2: 13.8155, 14: 36.1233, 34: 65.2472, 104: 154.3141, 279: 357.7288}
 
 
 def _report(name: str, ok: bool) -> bool:
@@ -139,10 +139,8 @@ def test_criterion_5_negligibility(power):
 # -------------------------------------------------------------- criterion 6
 
 
-def test_criterion_6_monte_carlo_limit_law(big_table_k2):
-    report = estimate_rank_distribution(
-        2, 1001, samples=200, base_seed=MC_SEED, max_rank=2, table=big_table_k2
-    )
+def test_criterion_6_monte_carlo_limit_law():
+    report = estimate_rank_distribution(2, 1001, samples=200, base_seed=MC_SEED, max_rank=2)
     expected = [Fraction(1, 2), Fraction(3, 8), Fraction(15, 128)]
     ok = True
     for row, want in zip(report.rows, expected):
@@ -158,8 +156,8 @@ def test_criterion_6_monte_carlo_limit_law(big_table_k2):
 # -------------------------------------------------------------- criterion 7
 
 
-def _uniformity_passes(k, n, samples, df, table):
-    report = chi_square_uniformity(k, n, samples, base_seed=CHI_SEED, table=table)
+def _uniformity_passes(k, n, samples, df):
+    report = chi_square_uniformity(k, n, samples, base_seed=CHI_SEED)
     ok = report.df == df
     ok &= abs(report.critical - CRITICAL[df]) < 2e-3
     ok &= report.passed
@@ -171,25 +169,31 @@ def _uniformity_passes(k, n, samples, df, table):
 
 
 @pytest.mark.parametrize("n,samples,df", [(3, 3000, 2), (4, 15000, 14), (5, 105000, 104)])
-def test_criterion_7_chi_square_uniformity(n, samples, df, table_k2):
-    assert _uniformity_passes(2, n, samples, df, table_k2)
+def test_criterion_7_chi_square_uniformity(n, samples, df):
+    assert _uniformity_passes(2, n, samples, df)
 
 
-def test_criterion_7_chi_square_uniformity_k3(table_k3):
+def test_criterion_7_chi_square_uniformity_k3():
     # all 280 ternary trees on 7 leaves, about 100 samples each
-    assert _uniformity_passes(3, 7, 28000, 279, table_k3)
+    assert _uniformity_passes(3, 7, 28000, 279)
 
 
-def test_criterion_7_chi_square_rejects_unpermuted_labels(monkeypatch, table_k2):
-    # fault injection: labels left in order, the size draws untouched
+def test_criterion_7_chi_square_uniformity_k4():
+    # all 35 quaternary trees on 7 leaves, 100 samples each
+    assert _uniformity_passes(4, 7, 3500, 34)
+
+
+def test_criterion_7_chi_square_rejects_unpermuted_labels(monkeypatch):
+    # fault injection: with no shuffle every draw deals the same partition,
+    # {1,2}, {3,4}, {5,6}, and so the same tree
     monkeypatch.setattr(random.Random, "shuffle", lambda self, x: None)
-    report = chi_square_uniformity(2, 4, 1500, base_seed=CHI_SEED, table=table_k2)
+    report = chi_square_uniformity(2, 4, 1500, base_seed=CHI_SEED)
     assert not report.passed
 
 
-def test_criterion_7_batch_determinism(table_k2):
+def test_criterion_7_batch_determinism():
     def batch(count):
-        return [to_newick(t) for t in sample_batch(2, 33, count, base_seed=CHI_SEED, table=table_k2)]
+        return [to_newick(t) for t in sample_batch(2, 33, count, base_seed=CHI_SEED)]
 
     full = batch(400)
     ok = batch(400) == full and batch(150) == full[:150]

@@ -9,6 +9,7 @@ import pytest
 from phylorank import cli, exactcount
 from phylorank.cli import main
 from phylorank.exactcount import LimitDistribution
+from phylorank.treecore import from_newick
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA_PATH = ROOT / "docs" / "cli_output.schema.json"
@@ -226,6 +227,31 @@ def test_oversized_table_refused(capsys):
     assert code == 2
     assert out == ""
     assert "MiB" in err
+
+
+def test_sample_needs_no_table(capsys):
+    # at the parent the table guard refused this from n = 10,361 on
+    code, out, _ = run(capsys, "sample", "--k", "2", "--n", "100001", "--count", "1")
+    assert code == 0
+    (line,) = out.splitlines()
+    tree = from_newick(line, 2)
+    assert tree.n_leaves == 100001 and tree.n_vertices == 200001
+
+
+def test_oversized_tree_refused(capsys):
+    # refused from k and n alone, before the shuffle's list is built
+    code, out, err = run(capsys, "sample", "--k", "2", "--n", "1000000001", "--count", "1")
+    assert code == 2
+    assert out == ""
+    assert "MiB" in err
+
+
+@pytest.mark.parametrize("command", ["sample", "estimate"])
+def test_sampling_commands_have_no_full_verify(command):
+    count = "--count" if command == "sample" else "--samples"
+    with pytest.raises(SystemExit) as err:
+        main([command, "--k", "2", "--n", "5", count, "1", "--full-verify"])
+    assert err.value.code == 2
 
 
 def test_output_file(capsys, tmp_path):

@@ -253,6 +253,22 @@ def test_non_integer_arguments_are_rejected(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: CountTable(2, 8).forest_count(True, 5),
+        lambda: CountTable(2, 8).ordered_forest_counts(True),
+        lambda: coeff_T_pow(2, True, 3),
+        lambda: negligibility_ratio(2, True, 5),
+        lambda: log_concavity_over_ranks(2, 2.5),
+    ],
+    ids=["forest_count", "ordered_forest_counts", "coeff_T_pow", "negligibility", "over_ranks"],
+)
+def test_sizes_and_powers_must_be_integers(call):
+    with pytest.raises(DomainError, match="must be an integer"):
+        call()
+
+
 @pytest.mark.parametrize("k, n_max", [(2, 40), (5, 101)])
 def test_table_size_bound(k, n_max, monkeypatch):
     need = exactcount._table_bytes(k, n_max)
@@ -468,6 +484,22 @@ def test_dual_route_tripwire_fires_on_corruption():
     table._fkm1[3] += 1
     with pytest.raises(ConsistencyError):
         table.rank_ge_count(1, 8)
+
+
+def test_composition_total_tripwire(monkeypatch):
+    # g_k must equal k! * t at every n, also above verify_to: a table whose
+    # closed g_k is corrupt there refuses to build
+    closed = CountTable._closed_g_array
+
+    def corrupt(self, j):
+        arr = closed(self, j)
+        if j == self.k:
+            arr[6] += 1
+        return arr
+
+    monkeypatch.setattr(CountTable, "_closed_g_array", corrupt)
+    with pytest.raises(ConsistencyError, match="n=6"):
+        CountTable(2, 12, verify_to=3)
 
 
 def test_forest_tower_check_fires_on_corruption(monkeypatch):

@@ -30,14 +30,14 @@ def test_estimate_single_leaf():
     assert report.total_vertices == 1
 
 
-def test_estimate_reproducible(table):
-    a = estimate_rank_distribution(2, 9, 50, base_seed=3, max_rank=2, table=table)
-    b = estimate_rank_distribution(2, 9, 50, base_seed=3, max_rank=2, table=table)
+def test_estimate_reproducible():
+    a = estimate_rank_distribution(2, 9, 50, base_seed=3, max_rank=2)
+    b = estimate_rank_distribution(2, 9, 50, base_seed=3, max_rank=2)
     assert [r.count for r in a.rows] == [r.count for r in b.rows]
 
 
-def test_estimate_counts_add_up(table):
-    report = estimate_rank_distribution(2, 17, 40, base_seed=5, max_rank=3, table=table)
+def test_estimate_counts_add_up():
+    report = estimate_rank_distribution(2, 17, 40, base_seed=5, max_rank=3)
     assert report.total_vertices == 40 * (2 * 17 - 1)
     assert sum(r.count for r in report.rows) + report.tail_count == report.total_vertices
     assert sum(r.frequency for r in report.rows) + Fraction(
@@ -45,27 +45,27 @@ def test_estimate_counts_add_up(table):
     ) == 1
 
 
-def test_estimate_matches_limits_roughly(table):
-    report = estimate_rank_distribution(2, 33, 400, base_seed=12, max_rank=1, table=table)
+def test_estimate_matches_limits_roughly():
+    report = estimate_rank_distribution(2, 33, 400, base_seed=12, max_rank=1)
     assert abs(float(report.rows[0].frequency) - 0.5) < 0.05
     assert abs(float(report.rows[1].frequency) - 0.375) < 0.05
 
 
-def test_estimate_consistency_under_doubling(table):
+def test_estimate_consistency_under_doubling():
     # doubling the sample count moves each frequency by less than the two
     # runs' combined 3-sigma binomial bound (computed over trees)
     n, max_rank = 17, 2
-    small = estimate_rank_distribution(2, n, 100, base_seed=21, max_rank=max_rank, table=table)
-    large = estimate_rank_distribution(2, n, 200, base_seed=21, max_rank=max_rank, table=table)
+    small = estimate_rank_distribution(2, n, 100, base_seed=21, max_rank=max_rank)
+    large = estimate_rank_distribution(2, n, 200, base_seed=21, max_rank=max_rank)
     for r_small, r_large in zip(small.rows, large.rows):
         p = float(rank_eq_limit(2, r_small.rank))
         bound = 3 * math.sqrt(p * (1 - p) / 100) + 3 * math.sqrt(p * (1 - p) / 200)
         assert abs(float(r_small.frequency) - float(r_large.frequency)) <= bound
 
 
-def test_estimate_domain_errors(table):
+def test_estimate_domain_errors():
     with pytest.raises(DomainError):
-        estimate_rank_distribution(2, 9, 0, base_seed=1, max_rank=2, table=table)
+        estimate_rank_distribution(2, 9, 0, base_seed=1, max_rank=2)
     with pytest.raises(DomainError):
         estimate_rank_distribution(3, 4, 5, base_seed=1, max_rank=2)
 
@@ -87,8 +87,8 @@ def test_counts_must_be_ints(call, bad):
         call(bad)
 
 
-def test_estimate_serialization(table):
-    report = estimate_rank_distribution(2, 9, 20, base_seed=3, max_rank=1, table=table)
+def test_estimate_serialization():
+    report = estimate_rank_distribution(2, 9, 20, base_seed=3, max_rank=1)
     payload = report.to_json_dict()
     assert payload["rows"][0]["limit"] == "1/2"
     tsv = report.to_tsv()
@@ -121,21 +121,21 @@ def test_chi_square_critical_domain_errors():
             chi_square_critical(significance, df)
 
 
-def test_chi_square_single_support_trivial_pass(table):
-    report = chi_square_uniformity(2, 2, samples=10, base_seed=1, table=table)
+def test_chi_square_single_support_trivial_pass():
+    report = chi_square_uniformity(2, 2, samples=10, base_seed=1)
     assert report.support == 1 and report.df == 0
     assert report.passed and report.statistic == 0.0
 
 
-def test_chi_square_n3(table):
-    report = chi_square_uniformity(2, 3, samples=3000, base_seed=1, table=table)
+def test_chi_square_n3():
+    report = chi_square_uniformity(2, 3, samples=3000, base_seed=1)
     assert report.df == 2
     assert report.critical == pytest.approx(13.8155, abs=2e-4)
     assert report.passed
 
 
-def test_chi_square_exact_statistic(table):
-    report = chi_square_uniformity(2, 4, samples=1500, base_seed=2, table=table)
+def test_chi_square_exact_statistic():
+    report = chi_square_uniformity(2, 4, samples=1500, base_seed=2)
     assert report.df == 14
     assert report.statistic == pytest.approx(float(report.statistic_exact))
     # statistic is a sum of (obs-expected)^2/expected with expected = 100
@@ -151,9 +151,9 @@ def test_chi_square_statistic_flags_degenerate_source():
     assert float(stat) > chi_square_critical(0.001, 14)
 
 
-def test_chi_square_support_cap(table):
+def test_chi_square_support_cap():
     with pytest.raises(DomainError):
-        chi_square_uniformity(2, 9, samples=10, base_seed=1, support_cap=100, table=table)
+        chi_square_uniformity(2, 9, samples=10, base_seed=1, support_cap=100)
 
 
 def test_chi_square_inadmissible():

@@ -5,7 +5,6 @@ import pytest
 
 from phylorank import bruteforce
 from phylorank.errors import DomainError, InvalidTreeError, NewickParseError
-from phylorank.exactcount import CountTable
 from phylorank.sampler import sample_batch
 from phylorank.treecore import (
     Tree,
@@ -214,22 +213,22 @@ def _reference_trees():
             yield from bruteforce.enumerate_all(k, n)
 
 
-def _sampled_trees(table_k2_1001):
-    yield from sample_batch(2, 1001, 20, base_seed=17, table=table_k2_1001)
-    yield from sample_batch(4, 301, 20, base_seed=17, table=CountTable(4, 301))
+def _sampled_trees():
+    yield from sample_batch(2, 1001, 20, base_seed=17)
+    yield from sample_batch(4, 301, 20, base_seed=17)
 
 
-def test_vertices_is_the_recursive_preorder(table_k2_1001):
-    for t in itertools.chain(_reference_trees(), _sampled_trees(table_k2_1001)):
+def test_vertices_is_the_recursive_preorder():
+    for t in itertools.chain(_reference_trees(), _sampled_trees()):
         expected = _preorder_reference(t.root)
         assert list(t.vertices()) == expected
         assert list(t.vertices()) == expected
         assert t.n_vertices == len(expected)
 
 
-def test_newick_is_the_recursive_serialization(table_k2_1001):
+def test_newick_is_the_recursive_serialization():
     checked = 0
-    for t in itertools.chain(_reference_trees(), _sampled_trees(table_k2_1001)):
+    for t in itertools.chain(_reference_trees(), _sampled_trees()):
         assert to_newick(t) == _newick_reference(t.root) + ";"
         checked += 1
     assert checked == 11465 + 15692 + 40
