@@ -18,7 +18,7 @@ from math import log10
 from typing import Sequence
 
 from . import bruteforce, seriesoracle, stats
-from .errors import ConsistencyError, DomainError, PhyloRankError
+from .errors import ConsistencyError, DomainError, PhyloRankError, require_int
 from .exactcount import CountTable, c_index, is_admissible, limit_distribution
 from .render import decimal_str, fraction_str
 from .sampler import sample_batch
@@ -176,6 +176,11 @@ def _cmd_verify(args) -> int:
         if not ok:
             failures += 1
 
+    require_int(k, "branching factor", 2)
+    if n_max >= 1:
+        # the largest admissible n <= n_max has the most trees: refuse it
+        # before enumerating any smaller n
+        bruteforce.require_within_cap(k, n_max - (n_max - 1) % (k - 1))
     table = CountTable(k, max(n_max, order))
 
     # triple agreement: enumeration vs recurrence/closed table, per n, in one

@@ -1,9 +1,13 @@
+import hashlib
+from itertools import islice
+from math import comb
+
 import pytest
 
 from phylorank import bruteforce
 from phylorank.errors import DomainError
-from phylorank.exactcount import CountTable, tree_count_closed
-from phylorank.treecore import to_newick
+from phylorank.exactcount import CountTable, is_admissible, tree_count_closed
+from phylorank.treecore import rank_of, to_newick
 
 FIGURE_ONE = {"((1,2),3);", "((1,3),2);", "((2,3),1);"}
 
@@ -63,6 +67,17 @@ def test_domain_errors():
         list(bruteforce.enumerate_all(2, 0))
 
 
+def test_arguments_checked_when_called():
+    # no next(): the errors come before the stream is returned
+    for args in [(1, 3), (2, 0), (2, True), (2, 12)]:
+        with pytest.raises(DomainError):
+            bruteforce.enumerate_all(*args)
+    with pytest.raises(DomainError, match="cap"):
+        bruteforce.enumerate_all(2, 5, cap=10)
+    with pytest.raises(DomainError):
+        bruteforce.enumerate_all(2, 5, cap=None)
+
+
 def test_cap_enforced():
     # t_{2,12} = 13749310575 blows the default cap
     with pytest.raises(DomainError, match="cap"):
@@ -87,3 +102,53 @@ def test_brute_census_figures():
 def test_brute_census_matches_exact_table(k, n):
     # one comparison covers counts, ratios, tail and total, admissible n or not
     assert bruteforce.brute_census(k, n, max_rank=3) == CountTable(k, n).rank_census(n, 3)
+
+
+# sha256 of the Newick stream, one tree per line, recorded before subtrees
+# were stored: `verify --dump-newick` and the support lists of test_remy.py
+# and test_recursive.py depend on this order
+STREAM_SHA256 = {
+    (2, 7): "06ada4ceaae43034ba2e351164bf7a2fce61ddb85818a45b1a2373785d6fd7f2",
+    (3, 9): "90b91b4383a9ad9b73732753b17cd0a227264d8348be4ab2c8250926aeae20a7",
+    (4, 10): "6cc427029d1d04a3b1e75b2e8b2dc0d13316f894880aa171373c105eb6a1cb26",
+}
+
+
+@pytest.mark.parametrize("k,n", sorted(STREAM_SHA256))
+def test_stream_order_is_pinned(k, n):
+    digest = hashlib.sha256()
+    for tree in bruteforce.enumerate_all(k, n):
+        digest.update(to_newick(tree).encode() + b"\n")
+    assert digest.hexdigest() == STREAM_SHA256[k, n]
+
+
+def test_each_subtree_is_built_once(monkeypatch):
+    calls = 0
+    real = bruteforce.internal
+
+    def counting(children):
+        nonlocal calls
+        calls += 1
+        return real(children)
+
+    monkeypatch.setattr(bruteforce, "internal", counting)
+    assert sum(1 for _ in bruteforce.enumerate_all(3, 9)) == tree_count_closed(3, 9)
+    # one call per root, plus one per tree on each proper subset of more than one label
+    expected = tree_count_closed(3, 9) + sum(
+        comb(9, m) * tree_count_closed(3, m) for m in range(2, 9) if is_admissible(3, m)
+    )
+    assert calls == expected == 26_824
+
+
+def test_shared_subtrees_belong_to_every_tree_that_holds_them():
+    trees = list(islice(bruteforce.enumerate_all(2, 6), 20))
+    a = trees[0]
+    inner = {id(v): v for v in a.vertices() if not v.is_leaf and v is not a.root}
+    b = next(t for t in trees[1:] if inner.keys() & {id(v) for v in t.vertices()})
+    for v in b.vertices():
+        if id(v) in inner:
+            assert rank_of(a, v) == rank_of(b, v) == v.rank
+    with pytest.raises(DomainError, match="does not belong"):
+        rank_of(b, a.root)
+    with pytest.raises(DomainError, match="does not belong"):
+        rank_of(a, b.root)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from phylorank import cli, exactcount
+from phylorank import bruteforce, cli, exactcount
 from phylorank.cli import main
 from phylorank.exactcount import LimitDistribution
 from phylorank.treecore import from_newick
@@ -205,6 +205,20 @@ def test_verify_dump_newick(capsys, tmp_path):
     lines = dump.read_text().strip().splitlines()
     assert len(lines) == 1 + 1 + 3 + 15
     assert set(lines[2:5]) == FIGURE_ONE
+
+
+def test_verify_refuses_an_over_cap_n_max_before_enumerating(capsys, monkeypatch):
+    def enumerate_all(*args, **kwargs):
+        raise AssertionError("verify enumerated before checking the cap")
+
+    monkeypatch.setattr(bruteforce, "enumerate_all", enumerate_all)
+    # t_{2,10} = 34,459,425 exceeds the cap; at k=3, n=14 has no trees but
+    # n=13, the largest admissible n <= 14, has 190,590,400; t_{2,3000} has
+    # 10,028 digits, which the message rounds
+    for k, n_max in [("2", "10"), ("3", "14"), ("2", "3000")]:
+        code, out, err = run(capsys, "verify", "--k", k, "--n-max", n_max)
+        assert code == 2 and out == ""
+        assert f"cap {bruteforce.DEFAULT_CAP}" in err and len(err) < 120
 
 
 # ------------------------------------------------------------- exit codes
