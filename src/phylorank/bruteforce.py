@@ -62,27 +62,31 @@ def enumerate_all(k: int, n: int, cap: int = DEFAULT_CAP) -> Iterator[Tree]:
     """Every k-phylogenetic tree on leaf set {1..n} exactly once, as a lazy stream.
 
     The stream is empty for inadmissible n.  k, n and ``cap`` are checked when
-    this is called, before the stream is returned: :class:`DomainError` when
-    one is not an integer in range, or when the total count would exceed
-    ``cap``.
+    this is called, before the stream is returned, by
+    :func:`require_within_cap`.
 
     The trees on each subset of fewer than n-k+1 labels are built once
     and kept until the stream ends or is dropped, so memory grows with their
-    number, not with the number of trees yielded.  The largest enumeration
-    the default cap admits, ``enumerate_all(2, 9)`` (2,027,025 trees), keeps
-    469,017 trees on subsets of at most 7 labels; on a shared 2-core x86-64
-    host it took 17.6 s at a 128 MB peak RSS, against 117 s and 20 MB when
-    every subtree was rebuilt for each tree that contains it.
+    number, not with the number of trees yielded; that is why ``cap`` may
+    not exceed ``DEFAULT_CAP``.  The largest enumeration that cap admits,
+    ``enumerate_all(2, 9)`` (2,027,025 trees), keeps 469,017 trees on
+    subsets of at most 7 labels, the most of any k; on a shared 2-core
+    x86-64 host it took 17.6 s at a 128 MB peak RSS, against 117 s and 20 MB
+    when every subtree was rebuilt for each tree that contains it.
     """
     require_within_cap(k, n, cap)
     return _enumerate(k, n)
 
 
 def require_within_cap(k: int, n: int, cap: int = DEFAULT_CAP) -> None:
-    """Raise :class:`DomainError` unless k and n are valid and the trees on
-    {1..n} number at most ``cap``."""
-    total = exactcount.tree_count_closed(k, n)  # checks k and n
+    """Raise :class:`DomainError` unless k and n are valid, ``cap`` is an
+    integer from 0 to ``DEFAULT_CAP``, and the trees on {1..n} number at most
+    ``cap``.  A larger cap is refused because the subtrees an enumeration
+    keeps grow with its trees (see :func:`enumerate_all`)."""
     require_int(cap, "enumeration cap", 0)
+    if cap > DEFAULT_CAP:
+        raise DomainError(f"enumeration cap {cap} exceeds the largest allowed, {DEFAULT_CAP}")
+    total = exactcount.tree_count_closed(k, n)  # checks k and n
     if total > cap:
         raise DomainError(
             f"enumeration of {decimal_str(total)} trees at k={k}, n={n} "

@@ -18,8 +18,14 @@ from math import log10
 from typing import Sequence
 
 from . import bruteforce, seriesoracle, stats
-from .errors import ConsistencyError, DomainError, PhyloRankError, require_int
-from .exactcount import CountTable, c_index, is_admissible, limit_distribution
+from .errors import ConsistencyError, DomainError, PhyloRankError
+from .exactcount import (
+    CountTable,
+    c_index,
+    is_admissible,
+    limit_distribution,
+    require_table_size,
+)
 from .render import decimal_str, fraction_str
 from .sampler import sample_batch
 from .treecore import RankCensus, to_newick
@@ -176,11 +182,13 @@ def _cmd_verify(args) -> int:
         if not ok:
             failures += 1
 
-    require_int(k, "branching factor", 2)
-    if n_max >= 1:
-        # the largest admissible n <= n_max has the most trees: refuse it
-        # before enumerating any smaller n
-        bruteforce.require_within_cap(k, n_max - (n_max - 1) % (k - 1))
+    # Refuse what is too large before building or enumerating anything: the
+    # table's size bound first (arithmetic only), then the enumeration cap, n
+    # upward.  t grows with n, so the scan stops at the first n over the cap
+    # (n = 10 at k = 2, n = 13 at k = 3) and forms only small factorials.
+    require_table_size(k, max(n_max, order))
+    for n in range(1, n_max + 1):
+        bruteforce.require_within_cap(k, n)
     table = CountTable(k, max(n_max, order))
 
     # triple agreement: enumeration vs recurrence/closed table, per n, in one

@@ -40,6 +40,7 @@ __all__ = [
     "tree_count_closed",
     "MAX_POWER_BITS",
     "MAX_TABLE_BYTES",
+    "require_table_size",
     "rank_ge_limit",
     "rank_eq_limit",
     "LimitEntry",
@@ -377,6 +378,19 @@ def _table_bytes(k: int, n_max: int) -> int:
     return ceil((k + 1) * n_max * n_max * log2(n_max) / 16)
 
 
+def require_table_size(k: int, n_max: int) -> None:
+    """Raise :class:`DomainError` unless k and n_max are valid and
+    ``CountTable(k, n_max)`` fits ``MAX_TABLE_BYTES``; allocates nothing."""
+    _check_k(k)
+    _check_n(n_max)
+    need = _table_bytes(k, n_max)
+    if need > MAX_TABLE_BYTES:
+        raise DomainError(
+            f"a table for k={k} through n={n_max} would need about {need >> 20} MiB, "
+            f"over the bound of {MAX_TABLE_BYTES >> 20} MiB"
+        )
+
+
 class CountTable:
     """All counting sequences for one branching factor k, exact through n_max.
 
@@ -414,14 +428,7 @@ class CountTable:
     """
 
     def __init__(self, k: int, n_max: int, verify_to: int | None = None):
-        _check_k(k)
-        _check_n(n_max)
-        need = _table_bytes(k, n_max)
-        if need > MAX_TABLE_BYTES:
-            raise DomainError(
-                f"a table for k={k} through n={n_max} would need about {need >> 20} MiB, "
-                f"over the bound of {MAX_TABLE_BYTES >> 20} MiB"
-            )
+        require_table_size(k, n_max)
         if verify_to is None:
             verify_to = n_max
         elif not isinstance(verify_to, int) or isinstance(verify_to, bool) or verify_to < 1:

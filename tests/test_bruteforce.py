@@ -76,6 +76,9 @@ def test_arguments_checked_when_called():
         bruteforce.enumerate_all(2, 5, cap=10)
     with pytest.raises(DomainError):
         bruteforce.enumerate_all(2, 5, cap=None)
+    # the stored subtrees grow with the trees, so the cap cannot be raised
+    with pytest.raises(DomainError, match="largest allowed"):
+        bruteforce.enumerate_all(2, 5, cap=bruteforce.DEFAULT_CAP + 1)
 
 
 def test_cap_enforced():

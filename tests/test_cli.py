@@ -208,17 +208,23 @@ def test_verify_dump_newick(capsys, tmp_path):
 
 
 def test_verify_refuses_an_over_cap_n_max_before_enumerating(capsys, monkeypatch):
-    def enumerate_all(*args, **kwargs):
-        raise AssertionError("verify enumerated before checking the cap")
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify built or enumerated before checking its input")
 
-    monkeypatch.setattr(bruteforce, "enumerate_all", enumerate_all)
+    monkeypatch.setattr(bruteforce, "enumerate_all", refuse)
+    monkeypatch.setattr(cli, "CountTable", refuse)
     # t_{2,10} = 34,459,425 exceeds the cap; at k=3, n=14 has no trees but
-    # n=13, the largest admissible n <= 14, has 190,590,400; t_{2,3000} has
-    # 10,028 digits, which the message rounds
+    # n=13 has 190,590,400; at n_max = 3000 the scan stops at n = 10
     for k, n_max in [("2", "10"), ("3", "14"), ("2", "3000")]:
         code, out, err = run(capsys, "verify", "--k", k, "--n-max", n_max)
         assert code == 2 and out == ""
         assert f"cap {bruteforce.DEFAULT_CAP}" in err and len(err) < 120
+    # a table this large is refused by its size bound alone, before any
+    # factorial is formed, whatever k is
+    for k, n_max in [("2", "1000000000"), ("1000000000", "1000000000")]:
+        code, out, err = run(capsys, "verify", "--k", k, "--n-max", n_max)
+        assert code == 2 and out == ""
+        assert "MiB" in err and len(err) < 160
 
 
 # ------------------------------------------------------------- exit codes
