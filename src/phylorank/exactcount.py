@@ -163,9 +163,10 @@ def _cauchy_product(u: Sequence[int], v: Sequence[int], upto: int) -> list[int]:
 
 
 def tree_count_closed(k: int, n: int) -> int:
-    """The number of k-phylogenetic trees on {1..n}, by the closed form alone."""
-    _check_k(k)
-    _check_n(n)
+    """The number of k-phylogenetic trees on {1..n}, by the closed form alone;
+    0 for inadmissible n, before any factorial is formed."""
+    if not is_admissible(k, n):  # checks k and n
+        return 0
     return _labeled_pow_count(k, 1, n, factorial(n))
 
 

@@ -1,10 +1,11 @@
 """Independent verification path: exact-rational truncated power series.
 
 The tree series T(x) satisfies T = x + T^k/k! and is the compositional
-inverse of F(x) = x - x^k/k!.  This module solves that fixed point on
-truncated series with :class:`fractions.Fraction` coefficients and evaluates
-every generating-function identity used elsewhere coefficientwise, so any
-disagreement with the counting module is detected bit-exactly.
+inverse of F(x) = x - x^k/k!.  This module solves it in one pass on truncated
+series with :class:`fractions.Fraction` coefficients (products and quotients
+run on integers over a common denominator), and evaluates every generating-
+function identity used elsewhere coefficientwise, so any disagreement with
+the counting module is detected bit-exactly.
 
 No floating point appears anywhere here; that is the whole point.
 """
@@ -13,7 +14,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
+from operator import mul
 
 from .errors import ConsistencyError, DomainError, require_int
 from .exactcount import c_index
@@ -40,7 +42,7 @@ class TruncatedSeries:
 
     def __init__(self, coeffs, order: int):
         require_int(order, "truncation order", 0)
-        cs = [Fraction(c) for c in coeffs[: order + 1]]
+        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs[: order + 1]]
         cs.extend([Fraction(0)] * (order + 1 - len(cs)))
         self.order = order
         self.coeffs = tuple(cs)
@@ -92,27 +94,22 @@ class TruncatedSeries:
         return (-self) + other
 
     def __mul__(self, other):
+        """The truncated product.  A series operand becomes integers over one common
+        denominator, so each coefficient is one integer dot product, then one Fraction."""
         if not isinstance(other, TruncatedSeries):
             q = Fraction(other)
             return TruncatedSeries([a * q for a in self.coeffs], self.order)
         self._match(other)
-        N = self.order
-        a, b = self.coeffs, other.coeffs
-        out = [Fraction(0)] * (N + 1)
-        for i in range(N + 1):
-            ai = a[i]
-            if ai:
-                for j in range(N + 1 - i):
-                    bj = b[j]
-                    if bj:
-                        out[i + j] += ai * bj
-        return TruncatedSeries(out, N)
+        (u, du), (v, dv) = _numerators(self.coeffs), _numerators(other.coeffs)
+        return TruncatedSeries(
+            [Fraction(sum(map(mul, u[: n + 1], v[n::-1])), du * dv) for n in range(len(u))],
+            self.order,
+        )
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
-        if not isinstance(e, int) or e < 0:
-            raise DomainError("series powers must be nonnegative integers")
+        require_int(e, "series power", 0)
         if e == 0:
             return TruncatedSeries.one(self.order)
         base = self
@@ -128,25 +125,24 @@ class TruncatedSeries:
             e >>= 1
         return result
 
-    def __truediv__(self, other: "TruncatedSeries"):
-        """Division by a unit series (nonzero constant term), exact."""
+    def __truediv__(self, other):
+        """Division by a unit (nonzero constant term), exact.  Over common denominators,
+        self = u/du and other = v/dv, [x^n] of the quotient is (dv/du) q_n/v_0^(n+1)
+        with the integers q_n = u_n v_0^n - sum_{j=1..n} v_j v_0^(j-1) q_(n-j)."""
         if not isinstance(other, TruncatedSeries):
-            return self * (1 / Fraction(other))
+            other = TruncatedSeries([other], self.order)
         self._match(other)
-        d0 = other.coeffs[0]
-        if d0 == 0:
+        (u, du), (v, dv) = _numerators(self.coeffs), _numerators(other.coeffs)
+        v0 = v[0]
+        if v0 == 0:
             raise DomainError("series division requires a unit denominator")
-        N = self.order
-        a, d = self.coeffs, other.coeffs
-        out = [Fraction(0)] * (N + 1)
-        for n in range(N + 1):
-            acc = a[n]
-            for j in range(1, n + 1):
-                dj = d[j]
-                if dj:
-                    acc -= dj * out[n - j]
-            out[n] = acc / d0
-        return TruncatedSeries(out, N)
+        w = [vj * v0 ** (j - 1) for j, vj in enumerate(v) if j]  # w[j-1] = v_j v_0^(j-1)
+        q: list[int] = []
+        for un in u:
+            q.append(un * v0 ** len(q) - sum(map(mul, w, reversed(q))))
+        return TruncatedSeries(
+            [Fraction(dv * qn, du * v0 ** (n + 1)) for n, qn in enumerate(q)], self.order
+        )
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -162,28 +158,42 @@ class TruncatedSeries:
         return f"TruncatedSeries([{head}{tail}], order={self.order})"
 
 
+def _numerators(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
+    """Integers u and d with coeffs[n] = u[n]/d, d the lcm of the denominators."""
+    d = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
+def _tree_numerators(k: int, order: int) -> list[int]:
+    """S_n = k!^(n-1) [x^n]T for n = 0..order, in one pass: S(y) = T(k! y)/k!
+    solves S = y + k!^(k-2) S^k, and [y^n]S^j reads S only below n."""
+    scale = factorial(k) ** (k - 2)
+    S = [0, 1] + [0] * (order - 1)
+    powers = [S] + [[0] * (order + 1) for _ in range(k - 1)]  # S^1 .. S^k
+    for n in range(2, order + 1):
+        for lower, upper in zip(powers, powers[1:]):
+            upper[n] = sum(map(mul, S[1:n], lower[n - 1 : 0 : -1]))
+        S[n] = scale * powers[-1][n]
+    return S
+
+
 @lru_cache(maxsize=8, typed=True)
 def solve_T(k: int, order: int) -> TruncatedSeries:
-    """The tree series through ``order``: the unique fixed point of
-    T = x + T^k/k! with zero constant term, by iteration from T = x.
-
-    Each pass fixes at least k-1 further coefficients, so the iteration
-    stabilizes within ``order`` passes; stabilization is asserted.  Results
-    are immutable and memoized on (k, order), so the identities that share
-    one series solve it once; the memo is typed, so ``True`` or ``2.0`` never
-    hits an entry made for 1 or 2 and is refused below.
+    """The tree series through ``order``: the unique solution of T = x + T^k/k!
+    with zero constant term, in one pass, coefficient by coefficient
+    (:func:`_tree_numerators`); :class:`ConsistencyError` unless it then is a
+    fixed point.  Results are immutable and memoized on (k, order), so the
+    identities that share one series solve it once; the memo is typed, so
+    ``True`` or ``2.0`` never hits an entry made for 1 or 2 and is refused below.
     """
     require_int(k, "branching factor", 2)
     require_int(order, "truncation order", 1)
-    x = TruncatedSeries.x(order)
-    inv_kfac = Fraction(1, factorial(k))
-    T = x
-    for _ in range(order + 1):
-        nxt = x + (T**k) * inv_kfac
-        if nxt == T:
-            return T
-        T = nxt
-    raise ConsistencyError("fixed-point iteration for the tree series did not stabilize")
+    kfac = factorial(k)
+    S = _tree_numerators(k, order)
+    T = TruncatedSeries([Fraction(s * kfac, kfac**n) for n, s in enumerate(S)], order)
+    if TruncatedSeries.x(order) + (T**k) * Fraction(1, kfac) != T:
+        raise ConsistencyError("the tree series is not a fixed point of T = x + T^k/k!")
+    return T
 
 
 def verify_inverse(k: int, order: int) -> bool:

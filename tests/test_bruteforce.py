@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from phylorank import bruteforce
+from phylorank import bruteforce, exactcount
 from phylorank.errors import DomainError
 from phylorank.exactcount import CountTable, is_admissible, tree_count_closed
 from phylorank.treecore import rank_of, to_newick
@@ -88,6 +88,49 @@ def test_cap_enforced():
     # a custom tiny cap trips early
     with pytest.raises(DomainError, match="cap"):
         next(iter(bruteforce.enumerate_all(2, 5, cap=10)))
+
+
+def test_cap_check_forms_no_large_factorial(monkeypatch):
+    real = exactcount.factorial
+
+    def small_only(m):
+        if m > 10**4:
+            raise AssertionError(f"factorial({m}) formed")
+        return real(m)
+
+    monkeypatch.setattr(exactcount, "factorial", small_only)
+    monkeypatch.setattr(bruteforce, "factorial", small_only, raising=False)
+    # t climbs from n = 1 and is over the cap by n = 10 (k=2) and n = 13 (k=3)
+    for k, n in [(2, 10**9), (3, 10**9 + 1), (2, 10**4 + 1)]:
+        with pytest.raises(DomainError, match="cap"):
+            bruteforce.enumerate_all(k, n)
+    # inadmissible: no trees, no factorial, and no partition of the labels
+    real_blocks = bruteforce._admissible_blocks
+
+    def few_labels(labels, k):
+        if len(labels) > 10**4:
+            raise AssertionError(f"partitions of {len(labels)} labels tried")
+        return real_blocks(labels, k)
+
+    monkeypatch.setattr(bruteforce, "_admissible_blocks", few_labels)
+    assert tree_count_closed(3, 10**9) == 0
+    assert list(bruteforce.enumerate_all(3, 10**6)) == []
+
+
+def test_root_block_is_streamed(monkeypatch):
+    calls = 0
+    real = bruteforce.internal
+
+    def counting(children):
+        nonlocal calls
+        calls += 1
+        return real(children)
+
+    monkeypatch.setattr(bruteforce, "internal", counting)
+    # the first root partition is {1} beside {2..8}: its first tree needs the
+    # stored trees on {3..8} (945 and their subtrees), not all 10,395 on {2..8}
+    next(bruteforce.enumerate_all(2, 8))
+    assert calls < tree_count_closed(2, 7)
 
 
 def test_brute_census_figures():

@@ -4,7 +4,8 @@ from math import factorial
 
 import pytest
 
-from phylorank.errors import DomainError
+from phylorank import seriesoracle
+from phylorank.errors import ConsistencyError, DomainError
 from phylorank.exactcount import CountTable, is_admissible
 from phylorank.seriesoracle import (
     TruncatedSeries,
@@ -208,3 +209,97 @@ def test_factorial_scaling_consistency():
     T = solve_T(2, 8)
     for n in range(9):
         assert T.labeled(n) == T.coeff(n) * factorial(n)
+
+
+# ------------------------------------------- schoolbook Fraction references
+
+
+def _ref_mul(a, b):
+    """The schoolbook product, one Fraction multiply-add per pair of terms."""
+    N = a.order
+    out = [Fraction(0)] * (N + 1)
+    for i in range(N + 1):
+        if a.coeffs[i]:
+            for j in range(N + 1 - i):
+                if b.coeffs[j]:
+                    out[i + j] += a.coeffs[i] * b.coeffs[j]
+    return TruncatedSeries(out, N)
+
+
+def _ref_div(a, d):
+    """The schoolbook quotient: out_n = (a_n - sum_{j>=1} d_j out_{n-j}) / d_0."""
+    N = a.order
+    out = [Fraction(0)] * (N + 1)
+    for n in range(N + 1):
+        acc = a.coeffs[n]
+        for j in range(1, n + 1):
+            if d.coeffs[j]:
+                acc -= d.coeffs[j] * out[n - j]
+        out[n] = acc / d.coeffs[0]
+    return TruncatedSeries(out, N)
+
+
+def _ref_solve_T(k, order):
+    """Fixed-point iteration from T = x; each pass fixes at least k-1 more terms."""
+    x = TruncatedSeries.x(order)
+    T = x
+    for _ in range(order + 1):
+        power = T
+        for _ in range(k - 1):
+            power = _ref_mul(power, T)
+        nxt = x + power * Fraction(1, factorial(k))
+        if nxt == T:
+            return T
+        T = nxt
+    raise AssertionError("the reference iteration did not stabilize")
+
+
+@pytest.mark.parametrize("order", [0, 1, 20])
+def test_products_and_quotients_match_schoolbook(order):
+    rng = random.Random(1000 + order)
+    negatives = 0
+    for d0 in (Fraction(2), Fraction(3), Fraction(-1), Fraction(1, 2)):
+        for _ in range(8):
+            a = _random_series(rng, order)
+            b = _random_series(rng, order)
+            negatives += sum(c < 0 for c in a.coeffs + b.coeffs)
+            assert a * b == _ref_mul(a, b)
+            assert a * a == _ref_mul(a, a)
+            d = TruncatedSeries((d0,) + b.coeffs[1:], order)
+            assert a / d == _ref_div(a, d)
+            assert a / d0 == _ref_div(a, TruncatedSeries([d0], order))
+    assert negatives
+
+
+@pytest.mark.parametrize("k,order", [(2, 64), (3, 64), (4, 64), (5, 30)])
+def test_solve_T_matches_fixed_point_iteration(k, order):
+    assert solve_T(k, order) == _ref_solve_T(k, order)
+
+
+def test_solve_T_fixed_point_check_fires(monkeypatch):
+    real = seriesoracle._tree_numerators
+
+    def corrupted(k, order):
+        S = real(k, order)
+        S[order] += 1
+        return S
+
+    monkeypatch.setattr(seriesoracle, "_tree_numerators", corrupted)
+    solve_T.cache_clear()
+    try:
+        with pytest.raises(ConsistencyError, match="fixed point"):
+            solve_T(3, 20)
+    finally:
+        solve_T.cache_clear()
+
+
+def test_division_by_zero_scalar_and_bool_power_rejected():
+    s = TruncatedSeries([1, 2, 3], 2)
+    with pytest.raises(DomainError):
+        s / 0
+    with pytest.raises(DomainError):
+        s / Fraction(0)
+    with pytest.raises(DomainError, match="must be an integer"):
+        s**True
+    with pytest.raises(DomainError, match="must be an integer"):
+        s**2.0
