@@ -30,7 +30,7 @@ def main():
 
     print("\n=== T is the compositional inverse of x - x^k/k! ===")
     for k in (2, 3, 5):
-        print(f"  k={k}: F(T(x)) == x through order 30:", verify_inverse(k, 30))
+        print(f"  k={k}: T(F(x)) == x through order 30:", verify_inverse(k, 30))
 
     print("\n=== root-rank and rank-at-least series vs the integer recurrences ===")
     table = CountTable(2, order)

@@ -6,7 +6,9 @@ Exit codes: 0 success, 2 domain/usage error, 3 internal consistency failure.
 
 Exact values print as decimal integers or "p/q" rationals, accompanied by
 12-significant-digit decimals where a magnitude helps; JSON output follows
-docs/cli_output.schema.json.
+docs/cli_output.schema.json.  The table reports (census, limits, estimate,
+convergence) print through one emitter, ``_emit_table``, so a report's TSV
+and JSON come from the same rows.
 """
 
 from __future__ import annotations
@@ -22,11 +24,10 @@ from .errors import ConsistencyError, DomainError, PhyloRankError
 from .exactcount import (
     CountTable,
     c_index,
-    is_admissible,
     limit_distribution,
     require_table_size,
 )
-from .render import decimal_str, fraction_str
+from .render import decimal_str, exact, fraction_str
 from .sampler import sample_batch
 from .treecore import RankCensus, to_newick
 
@@ -42,6 +43,21 @@ def _emit(text: str, path: str | None) -> None:
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _emit_table(args, head: dict, columns: Sequence[str], rows: list[dict]) -> None:
+    """Print a table report in ``args.format``.  JSON is the command, the
+    ``head`` fields and the rows; TSV is the ``columns`` line, then each row's
+    values in column order, a float as %.6e."""
+    if args.format == "json":
+        text = json.dumps({"command": args.command, **head, "rows": rows}, indent=2)
+    else:
+        lines = ["\t".join(columns)]
+        for row in rows:
+            cells = (row[c] for c in columns)
+            lines.append("\t".join(f"{v:.6e}" if isinstance(v, float) else str(v) for v in cells))
+        text = "\n".join(lines)
+    _emit(text + "\n", args.output)
 
 
 def _make_table(k: int, n_max: int, full_verify: bool) -> CountTable:
@@ -61,30 +77,13 @@ def _cmd_count(args) -> int:
 def _cmd_census(args) -> int:
     table = _make_table(args.k, args.n, args.full_verify)
     census = table.rank_census(args.n, args.max_rank)
-    if args.format == "json":
-        payload = {
-            "command": "census",
-            "k": args.k,
-            "n": args.n,
-            "max_rank": args.max_rank,
-            "total": str(census.total),
-            "tail": str(census.tail),
-            "rows": [
-                {
-                    "rank": i,
-                    "count": str(e),
-                    "ratio": fraction_str(r),
-                    "ratio_decimal": decimal_str(r),
-                }
-                for i, (e, r) in enumerate(zip(census.exact, census.ratios))
-            ],
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
-    else:
-        lines = ["rank\tcount\tratio\tratio_decimal"]
-        for i, (e, r) in enumerate(zip(census.exact, census.ratios)):
-            lines.append(f"{i}\t{e}\t{fraction_str(r)}\t{decimal_str(r)}")
-        _emit("\n".join(lines) + "\n", args.output)
+    head = {"k": args.k, "n": args.n, "max_rank": args.max_rank,
+            "total": str(census.total), "tail": str(census.tail)}
+    rows = [
+        {"rank": i, "count": str(e), **exact("ratio", r)}
+        for i, (e, r) in enumerate(zip(census.exact, census.ratios))
+    ]
+    _emit_table(args, head, ("rank", "count", "ratio", "ratio_decimal"), rows)
     return 0
 
 
@@ -95,32 +94,13 @@ def _cmd_limits(args) -> int:
     if k >= 2 and i >= 1 and ((i - 1) * log10(k) > 20 or c_index(k, i) * log10(k) > LIMITS_MAX_DIGITS):
         raise DomainError(f"k**c_{i} at k={k} would print more than {LIMITS_MAX_DIGITS} digits")
     dist = limit_distribution(args.k, args.max_rank)
-    if args.format == "json":
-        payload = {
-            "command": "limits",
-            "k": args.k,
-            "max_rank": args.max_rank,
-            "rows": [
-                {
-                    "rank": e.rank,
-                    "c": str(e.c),
-                    "tail_prob": fraction_str(e.tail_prob),
-                    "tail_prob_decimal": decimal_str(e.tail_prob),
-                    "point_prob": fraction_str(e.point_prob),
-                    "point_prob_decimal": decimal_str(e.point_prob),
-                }
-                for e in dist.entries
-            ],
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
-    else:
-        lines = ["rank\tc\ttail_prob\ttail_prob_decimal\tpoint_prob\tpoint_prob_decimal"]
-        for e in dist.entries:
-            lines.append(
-                f"{e.rank}\t{e.c}\t{fraction_str(e.tail_prob)}\t{decimal_str(e.tail_prob)}\t"
-                f"{fraction_str(e.point_prob)}\t{decimal_str(e.point_prob)}"
-            )
-        _emit("\n".join(lines) + "\n", args.output)
+    rows = [
+        {"rank": e.rank, "c": str(e.c), **exact("tail_prob", e.tail_prob),
+         **exact("point_prob", e.point_prob)}
+        for e in dist.entries
+    ]
+    columns = ("rank", "c", "tail_prob", "tail_prob_decimal", "point_prob", "point_prob_decimal")
+    _emit_table(args, {"k": args.k, "max_rank": args.max_rank}, columns, rows)
     return 0
 
 
@@ -145,11 +125,17 @@ def _cmd_estimate(args) -> int:
     report = stats.estimate_rank_distribution(
         args.k, args.n, args.samples, args.seed, args.max_rank
     )
-    if args.format == "json":
-        payload = {"command": "estimate", **report.to_json_dict()}
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
-    else:
-        _emit(report.to_tsv(), args.output)
+    head = {"k": report.k, "n": report.n, "samples": report.samples, "seed": report.seed,
+            "max_rank": report.max_rank, "total_vertices": report.total_vertices,
+            "tail_count": report.tail_count}
+    rows = [
+        {"rank": r.rank, "count": str(r.count), **exact("frequency", r.frequency),
+         **exact("limit", r.limit), "deviation": r.deviation}
+        for r in report.rows
+    ]
+    columns = ("rank", "count", "frequency", "frequency_decimal", "limit", "limit_decimal",
+               "deviation")
+    _emit_table(args, head, columns, rows)
     return 0
 
 
@@ -162,11 +148,27 @@ def _cmd_convergence(args) -> int:
     report = stats.convergence_table(
         args.k, args.i, grid, table=table, negligibility_powers=powers
     )
+    # the JSON gives the gap exactly and the negligibility ratios as a map;
+    # the TSV repeats the limit on each row and gives decimals only
+    head = {"k": report.k, "i": report.i, **exact("limit", report.limit)}
     if args.format == "json":
-        payload = {"command": "convergence", **report.to_json_dict()}
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
+        columns: tuple[str, ...] = ()
+        rows = [
+            {"n": r.n, **exact("ratio", r.ratio), **exact("gap", r.gap),
+             "negligibility": {str(p): fraction_str(v) for p, v in r.negligibility.items()}}
+            for r in report.rows
+        ]
     else:
-        _emit(report.to_tsv(), args.output)
+        negs = sorted(set(powers))
+        columns = ("n", "ratio", "ratio_decimal", "limit_decimal", "gap_decimal",
+                   *(f"neg_T^{p}" for p in negs))
+        rows = [
+            {"n": r.n, **exact("ratio", r.ratio), "limit_decimal": decimal_str(report.limit),
+             "gap_decimal": decimal_str(r.gap),
+             **{f"neg_T^{p}": decimal_str(r.negligibility[p]) for p in negs}}
+            for r in report.rows
+        ]
+    _emit_table(args, head, columns, rows)
     return 0
 
 
@@ -257,8 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, fmt_choices=("tsv", "json")):
         p.add_argument("--output", default=None, help="output path (default: stdout)")
-        if fmt_choices:
-            p.add_argument("--format", choices=fmt_choices, default=fmt_choices[0])
+        p.add_argument("--format", choices=fmt_choices, default=fmt_choices[0])
 
     def add_k(p):
         p.add_argument("--k", type=int, required=True, help="branching factor (>= 2)")

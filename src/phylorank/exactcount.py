@@ -22,7 +22,6 @@ The rank-i exponent is c_i = (k^i - 1)/(k - 1), satisfying c_{i+1} = k*c_i + 1.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb, factorial, gcd, log2, prod
@@ -113,17 +112,6 @@ def coeff_T_pow(k: int, power: int, n: int) -> Fraction:
     return Fraction(num, den)
 
 
-def _labeled_pow_count(k: int, power: int, n: int, fact_n: int) -> int:
-    """n! * [x^n] T^power: the number of ordered `power`-tuples of disjoint trees
-    whose leaf sets partition {1..n}.  Always an integer; exactness asserted."""
-    if n < power or (n - power) % (k - 1) != 0:
-        return 0
-    s = (n - power) // (k - 1)
-    num = fact_n * power * comb(k * s + power - 1, s)
-    den = (s * (k - 1) + power) * factorial(k) ** s
-    return _exact_div(num, den, f"ordered {power}-forest count at n={n}")
-
-
 def _forest_count_array(k: int, p: int, upto: int) -> list[int]:
     """g_p(n) = n! [x^n] T^p for n = 0..upto, by the exact term ratio.
 
@@ -163,11 +151,14 @@ def _cauchy_product(u: Sequence[int], v: Sequence[int], upto: int) -> list[int]:
 
 
 def tree_count_closed(k: int, n: int) -> int:
-    """The number of k-phylogenetic trees on {1..n}, by the closed form alone;
+    """The number of k-phylogenetic trees on {1..n}, by the closed form alone,
+    n! C(k s, s) / (n k!^s) with n = (k-1) s + 1; exactness asserted.
     0 for inadmissible n, before any factorial is formed."""
     if not is_admissible(k, n):  # checks k and n
         return 0
-    return _labeled_pow_count(k, 1, n, factorial(n))
+    s = (n - 1) // (k - 1)
+    num = factorial(n) * comb(k * s, s)
+    return _exact_div(num, n * factorial(k) ** s, f"tree count at n={n}")
 
 
 MAX_POWER_BITS = 1 << 25
@@ -424,16 +415,14 @@ class CountTable:
 
     ``verify_to`` (default n_max) only bounds the quadratic-time checks of g
     and r; every stored value is the closed form at every n.  r and m are
-    filled on first use (guarded by a lock, so tables are safe to share
-    across threads).
+    filled on first use, so a table is not for concurrent use.
     """
 
     def __init__(self, k: int, n_max: int, verify_to: int | None = None):
         require_table_size(k, n_max)
         if verify_to is None:
             verify_to = n_max
-        elif not isinstance(verify_to, int) or isinstance(verify_to, bool) or verify_to < 1:
-            raise DomainError(f"verify_to must be an integer >= 1, got {verify_to!r}")
+        require_int(verify_to, "verify_to", 1)
         self.k = k
         self.n_max = n_max
         self.verify_to = min(verify_to, n_max)
@@ -467,7 +456,6 @@ class CountTable:
         # closed g_p through n_max + 1 (m_i(n) reads g_p(n + 1)), built on the
         # first read and dropped once the r_i or m_i read from it is formed
         self._closed: dict[int, list[int]] = {}
-        self._lock = threading.RLock()
 
     # ----- closed forms -------------------------------------------------
 
@@ -608,20 +596,16 @@ class CountTable:
     def _get_r(self, i: int) -> Sequence[int]:
         if i > self._top_rank:
             return self._zeros
-        if i not in self._r:
-            with self._lock:
-                for j in range(1, i + 1):
-                    if j not in self._r:
-                        self._r[j] = self._build_r(j)
+        for j in range(1, i + 1):
+            if j not in self._r:
+                self._r[j] = self._build_r(j)
         return self._r[i]
 
     def _get_m(self, i: int) -> Sequence[int]:
         if i > self._top_rank:
             return self._zeros
         if i not in self._m:
-            with self._lock:
-                if i not in self._m:
-                    self._m[i] = self._build_m(i)
+            self._m[i] = self._build_m(i)
         return self._m[i]
 
     def _check_cover(self, n: int) -> None:
@@ -653,8 +637,7 @@ class CountTable:
         self._check_cover(n)
         if j > n:
             return 0  # a j-forest has at least j leaves
-        with self._lock:
-            g_j = self._forest_tower(j)
+        g_j = self._forest_tower(j)
         return _exact_div(g_j[n], factorial(j), f"unordered {j}-forest count at n={n}")
 
     def root_rank_count(self, i: int, n: int) -> int:

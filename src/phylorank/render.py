@@ -34,3 +34,9 @@ def decimal_str(value: Fraction | int, digits: int = DECIMAL_DIGITS) -> str:
         ctx.prec = digits
         d = Decimal(f.numerator) / Decimal(f.denominator)
     return str(d)
+
+
+def exact(name: str, value: Fraction | int) -> dict[str, str]:
+    """The pair every report prints for an exact value: ``name`` as "p/q" and
+    ``name``_decimal to 12 significant digits."""
+    return {name: fraction_str(value), f"{name}_decimal": decimal_str(value)}

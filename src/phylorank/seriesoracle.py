@@ -197,10 +197,16 @@ def solve_T(k: int, order: int) -> TruncatedSeries:
 
 
 def verify_inverse(k: int, order: int) -> bool:
-    """Check that F(T(x)) = x through ``order``, where F(y) = y - y^k/k!."""
+    """Check that T(F(x)) = x through ``order``, where F(x) = x - x^k/k!: the
+    other side of the inverse from the fixed point :func:`solve_T` checks.
+    T is composed with F by Horner's rule, one truncated product per term."""
     T = solve_T(k, order)
-    F_of_T = T - (T**k) * Fraction(1, factorial(k))
-    return F_of_T == TruncatedSeries.x(order)
+    x = TruncatedSeries.x(order)
+    F = x - (x**k) * Fraction(1, factorial(k))
+    T_of_F = TruncatedSeries.zero(order)
+    for t_n in reversed(T.coeffs[1:]):
+        T_of_F = (T_of_F + t_n) * F
+    return T_of_F == x
 
 
 def oracle_R(k: int, i: int, order: int) -> TruncatedSeries:

@@ -31,7 +31,6 @@ from .exactcount import (
     rank_eq_limit,
     rank_ge_limit,
 )
-from .render import decimal_str, fraction_str
 from .sampler import sample_batch
 from .treecore import census_of, to_newick
 
@@ -70,39 +69,6 @@ class EstimateReport:
     total_vertices: int
     rows: tuple[RankEstimateRow, ...]
     tail_count: int  # vertices of rank > max_rank
-
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "n": self.n,
-            "samples": self.samples,
-            "seed": self.seed,
-            "max_rank": self.max_rank,
-            "total_vertices": self.total_vertices,
-            "tail_count": self.tail_count,
-            "rows": [
-                {
-                    "rank": r.rank,
-                    "count": str(r.count),
-                    "frequency": fraction_str(r.frequency),
-                    "frequency_decimal": decimal_str(r.frequency),
-                    "limit": fraction_str(r.limit),
-                    "limit_decimal": decimal_str(r.limit),
-                    "deviation": r.deviation,
-                }
-                for r in self.rows
-            ],
-        }
-
-    def to_tsv(self) -> str:
-        lines = ["rank\tcount\tfrequency\tfrequency_decimal\tlimit\tlimit_decimal\tdeviation"]
-        for r in self.rows:
-            lines.append(
-                f"{r.rank}\t{r.count}\t{fraction_str(r.frequency)}\t"
-                f"{decimal_str(r.frequency)}\t{fraction_str(r.limit)}\t"
-                f"{decimal_str(r.limit)}\t{r.deviation:.6e}"
-            )
-        return "\n".join(lines) + "\n"
 
 
 def estimate_rank_distribution(
@@ -290,41 +256,6 @@ class ConvergenceTable:
     i: int
     limit: Fraction  # k^(-c_i)
     rows: tuple[ConvergenceRow, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "i": self.i,
-            "limit": fraction_str(self.limit),
-            "limit_decimal": decimal_str(self.limit),
-            "rows": [
-                {
-                    "n": r.n,
-                    "ratio": fraction_str(r.ratio),
-                    "ratio_decimal": decimal_str(r.ratio),
-                    "gap": fraction_str(r.gap),
-                    "gap_decimal": decimal_str(r.gap),
-                    "negligibility": {
-                        str(p): fraction_str(v) for p, v in r.negligibility.items()
-                    },
-                }
-                for r in self.rows
-            ],
-        }
-
-    def to_tsv(self) -> str:
-        powers = sorted(self.rows[0].negligibility) if self.rows else []
-        header = "n\tratio\tratio_decimal\tlimit_decimal\tgap_decimal"
-        header += "".join(f"\tneg_T^{p}" for p in powers)
-        lines = [header]
-        for r in self.rows:
-            line = (
-                f"{r.n}\t{fraction_str(r.ratio)}\t{decimal_str(r.ratio)}\t"
-                f"{decimal_str(self.limit)}\t{decimal_str(r.gap)}"
-            )
-            line += "".join(f"\t{decimal_str(r.negligibility[p])}" for p in powers)
-            lines.append(line)
-        return "\n".join(lines) + "\n"
 
 
 def convergence_table(

@@ -150,6 +150,15 @@ def test_estimate_json_schema(capsys, schema):
     assert payload["samples"] == 30
 
 
+def test_estimate_serialization(capsys):
+    argv = ["estimate", "--k", "2", "--n", "9", "--samples", "20", "--seed", "3", "--max-rank", "1"]
+    _, out, _ = run(capsys, *argv, "--format", "json")
+    assert json.loads(out)["rows"][0]["limit"] == "1/2"
+    _, tsv, _ = run(capsys, *argv)
+    assert tsv.splitlines()[0].startswith("rank\tcount")
+    assert len(tsv.splitlines()) == 3  # the header and ranks 0..max_rank
+
+
 def test_convergence_tsv(capsys):
     code, out, _ = run(capsys, "convergence", "--k", "2", "--i", "1",
                        "--n-grid", "3,11,101", "--negligibility", "2,3")
@@ -165,6 +174,16 @@ def test_convergence_json_schema(capsys, schema):
     payload = json.loads(out)
     check_schema(schema, payload)
     assert payload["limit"] == "1/8"
+
+
+def test_convergence_serialization(capsys):
+    argv = ["convergence", "--k", "2", "--i", "1", "--n-grid", "3,9", "--negligibility", "2"]
+    _, out, _ = run(capsys, *argv, "--format", "json")
+    payload = json.loads(out)
+    assert payload["limit"] == "1/2"
+    assert payload["rows"][0]["negligibility"]["2"] == "2/5"
+    _, tsv, _ = run(capsys, *argv)
+    assert "neg_T^2" in tsv.splitlines()[0]
 
 
 def test_verify_passes(capsys):

@@ -22,7 +22,11 @@ COMMANDS = {
     "sample": "sample --k 2 --n 33 --count 10 --seed 1",
     "sample_json": "sample --k 2 --n 33 --count 10 --seed 1 --format json",
     "estimate": "estimate --k 2 --n 1001 --samples 200 --seed 7 --max-rank 3",
+    "estimate_json": "estimate --k 2 --n 1001 --samples 200 --seed 7 --max-rank 3 --format json",
     "convergence": "convergence --k 2 --i 1 --n-grid 3,11,101,501 --negligibility 2,3",
+    "convergence_json": (
+        "convergence --k 2 --i 1 --n-grid 3,11,101,501 --negligibility 2,3 --format json"
+    ),
     "verify": "verify --k 2 --n-max 8",
 }
 

@@ -50,6 +50,16 @@ def test_verify_inverse():
     assert verify_inverse(2, 1)
 
 
+@pytest.mark.parametrize("k, n", [(2, 6), (3, 7)])
+def test_verify_inverse_fires_on_a_wrong_coefficient(monkeypatch, k, n):
+    # T(F(x)) = x is checked apart from solve_T's own fixed point, so a tree
+    # series with one coefficient changed must fail it
+    coeffs = list(solve_T(k, 20).coeffs)
+    coeffs[n] += Fraction(1, 3)
+    monkeypatch.setattr(seriesoracle, "solve_T", lambda k, order: TruncatedSeries(coeffs, order))
+    assert not verify_inverse(k, 20)
+
+
 @pytest.mark.parametrize("k,i,order", [(2, 1, 40), (3, 2, 30), (2, 3, 40)])
 def test_theorem_decomposition(k, i, order):
     assert verify_theorem_decomposition(k, i, order)

@@ -87,15 +87,6 @@ def test_counts_must_be_ints(call, bad):
         call(bad)
 
 
-def test_estimate_serialization():
-    report = estimate_rank_distribution(2, 9, 20, base_seed=3, max_rank=1)
-    payload = report.to_json_dict()
-    assert payload["rows"][0]["limit"] == "1/2"
-    tsv = report.to_tsv()
-    assert tsv.splitlines()[0].startswith("rank\tcount")
-    assert len(tsv.splitlines()) == 3
-
-
 # --------------------------------------------------------------- chi-square
 
 
@@ -212,12 +203,3 @@ def test_convergence_rejects_inadmissible_grid():
 def test_convergence_requires_nonempty_grid(table):
     with pytest.raises(DomainError):
         convergence_table(2, 1, [], table=table)
-
-
-def test_convergence_serialization(table):
-    report = convergence_table(2, 1, [3, 9], table=table, negligibility_powers=(2,))
-    payload = report.to_json_dict()
-    assert payload["limit"] == "1/2"
-    assert payload["rows"][0]["negligibility"]["2"] == "2/5"
-    tsv = report.to_tsv()
-    assert "neg_T^2" in tsv.splitlines()[0]
