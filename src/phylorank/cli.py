@@ -20,7 +20,7 @@ from math import log10
 from typing import Sequence
 
 from . import bruteforce, seriesoracle, stats
-from .errors import ConsistencyError, DomainError, PhyloRankError
+from .errors import ConsistencyError, DomainError, PhyloRankError, require_int
 from .exactcount import (
     CountTable,
     c_index,
@@ -58,6 +58,14 @@ def _emit_table(args, head: dict, columns: Sequence[str], rows: list[dict]) -> N
             lines.append("\t".join(f"{v:.6e}" if isinstance(v, float) else str(v) for v in cells))
         text = "\n".join(lines)
     _emit(text + "\n", args.output)
+
+
+def _int_list(text: str) -> list[int]:
+    """An argparse type: comma-separated integers, empty items skipped."""
+    try:
+        return [int(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}")
 
 
 def _make_table(k: int, n_max: int, full_verify: bool) -> CountTable:
@@ -140,10 +148,9 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
-    grid = [int(x) for x in args.n_grid.split(",") if x.strip()]
+    grid, powers = args.n_grid, args.negligibility
     if not grid:
         raise DomainError("--n-grid must list at least one n")
-    powers = [int(x) for x in args.negligibility.split(",") if x.strip()] if args.negligibility else []
     table = _make_table(args.k, max(grid), args.full_verify)
     report = stats.convergence_table(
         args.k, args.i, grid, table=table, negligibility_powers=powers
@@ -184,10 +191,11 @@ def _cmd_verify(args) -> int:
         if not ok:
             failures += 1
 
-    # Refuse what is too large before building or enumerating anything: the
-    # table's size bound first (arithmetic only), then the enumeration cap, n
+    # Refuse bad input before building or enumerating anything: the order,
+    # the table's size bound (arithmetic only), then the enumeration cap, n
     # upward.  t grows with n, so the scan stops at the first n over the cap
     # (n = 10 at k = 2, n = 13 at k = 3) and forms only small factorials.
+    require_int(order, "truncation order", 1)
     require_table_size(k, max(n_max, order))
     for n in range(1, n_max + 1):
         bruteforce.require_within_cap(k, n)
@@ -307,8 +315,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("convergence", help="exact m_i(n)/m_0(n) ratios vs the limit")
     add_k(p)
     p.add_argument("--i", type=int, required=True, help="rank index")
-    p.add_argument("--n-grid", required=True, help="comma-separated admissible n values")
-    p.add_argument("--negligibility", default="",
+    p.add_argument("--n-grid", type=_int_list, required=True,
+                   help="comma-separated admissible n values")
+    p.add_argument("--negligibility", type=_int_list, default="",
                    help="comma-separated series powers to tabulate as vanishing ratios")
     p.add_argument("--full-verify", action="store_true")
     add_common(p)

@@ -215,12 +215,8 @@ def limit_distribution(k: int, max_rank: int) -> LimitDistribution:
     entries = []
     for i in range(max_rank + 1):
         c = c_index(k, i)
-        if i > 0:
-            assert c == k * c_index(k, i - 1) + 1
         tail = rank_ge_limit(k, i)
         point = rank_eq_limit(k, i)
-        if point <= 0:
-            raise ConsistencyError(f"point probability at rank {i} is not positive")
         entries.append(LimitEntry(rank=i, c=c, tail_prob=tail, point_prob=point))
     return LimitDistribution(k=k, entries=tuple(entries))
 
@@ -316,10 +312,8 @@ def log_concavity_check(i: int, k_max: int) -> LogConcavityReport:
 
     A violation is reported with its exact values, not raised.
     """
-    if i < 0:
-        raise DomainError("rank must be >= 0")
-    if k_max < 4:
-        raise DomainError("k_max must be >= 4 to have anything to check")
+    _check_rank(i)
+    require_int(k_max, "k_max", 4)  # below 4 there is nothing to check
     return _concavity_scan(
         "k", i, range(3, k_max), lambda k: _point_prob_pair(k, i)
     )
@@ -392,10 +386,11 @@ class CountTable:
     M_i = R_i T' = (T^(k^i+1))' / ((k^i+1) k!^(c_i)); so m_0(n) = g_2(n+1)/2.
     Each g_p is built along n from g_p(p) = p! by its exact term ratio, one
     product of k small integers and one exact division by a small integer
-    per step; the g_p read by r_i or m_i reaches n_max + 1 and is dropped
-    once that sequence is formed.  Each sequence is checked against an
-    identity before it is stored (``*`` is the labelled convolution; one
-    comparer, ``_check_identity``, checks all three convolution identities):
+    per step.  One builder, ``_closed``, forms each of g_j, r_i and m_i from
+    one such g_p array (through n_max + 1 for m_i) and keeps no array.  Each
+    sequence is checked against an identity before it is stored (``*`` is the
+    labelled convolution; one comparer, ``_check_identity``, checks all three
+    convolution identities):
 
     * forest tower ``g_j = g_{floor(j/2)} * g_{ceil(j/2)}`` for n <= verify_to,
       with g_1 = t; g_j for j <= k is built at construction, larger j by
@@ -453,34 +448,16 @@ class CountTable:
         self._zeros = (0,) * (n_max + 1)
         self._r: dict[int, Sequence[int]] = {0: self._t}
         self._m: dict[int, Sequence[int]] = {}
-        # closed g_p through n_max + 1 (m_i(n) reads g_p(n + 1)), built on the
-        # first read and dropped once the r_i or m_i read from it is formed
-        self._closed: dict[int, list[int]] = {}
 
     # ----- closed forms -------------------------------------------------
 
-    def _closed_g(self, j: int, n: int) -> int:
-        if j not in self._closed:
-            self._closed[j] = _forest_count_array(self.k, j, self.n_max + 1)
-        return self._closed[j][n]
-
-    def _closed_g_array(self, j: int) -> list[int]:
-        return _forest_count_array(self.k, j, self.n_max)
-
-    def _closed_r(self, i: int, n: int) -> int:
-        """r_i(n) = g_{k^i}(n) / k!^(c_i)."""
-        return _exact_div(
-            self._closed_g(self.k**i, n), self._kfac ** c_index(self.k, i),
-            f"root-rank count r_{i}({n})",
-        )
-
-    def _closed_m(self, i: int, n: int) -> int:
-        """m_i(n) = g_{k^i+1}(n+1) / ((k^i+1) k!^(c_i)); m_0(n) = g_2(n+1)/2."""
-        power = self.k**i + 1
-        return _exact_div(
-            self._closed_g(power, n + 1), power * self._kfac ** c_index(self.k, i),
-            f"rank-at-least count m_{i}({n})",
-        )
+    def _closed(self, name: str, p: int, divisor: int = 1, shift: int = 0) -> list[int]:
+        """The closed sequence ``name``: [0] then g_p(n + shift) / divisor for
+        n = 1..n_max, from one g_p array, every division exact."""
+        g = _forest_count_array(self.k, p, self.n_max + shift)
+        return [0] + [
+            _exact_div(g[n + shift], divisor, f"{name}({n})") for n in range(1, self.n_max + 1)
+        ]
 
     # ----- convolution identities ----------------------------------------
 
@@ -555,7 +532,7 @@ class CountTable:
     def _build_g(self, j: int) -> tuple[int, ...]:
         """Closed g_j, checked against g_{floor(j/2)} * g_{ceil(j/2)} through
         verify_to; both halves must be built already."""
-        closed = self._closed_g_array(j)
+        closed = self._closed(f"g_{j}", j)
         if j > 1:
             a, b = j // 2, j - j // 2
             self._check_identity(
@@ -574,8 +551,7 @@ class CountTable:
 
     def _build_r(self, i: int) -> list[int]:
         """Closed r_i, checked against k! r_i = r_{i-1}^{*k} through verify_to."""
-        closed = [0] + [self._closed_r(i, n) for n in range(1, self.n_max + 1)]
-        self._closed.pop(self.k**i, None)
+        closed = self._closed(f"r_{i}", self.k**i, self._kfac ** c_index(self.k, i))
         self._check_identity(
             "root-rank count", f"r_{i}", closed, ((f"r_{i - 1}", self._r[i - 1]),) * self.k,
             self.verify_to, scale=self._kfac,
@@ -584,8 +560,8 @@ class CountTable:
 
     def _build_m(self, i: int) -> list[int]:
         """Closed m_i, checked against m_i = r_i + m_i * f_{k-1} at every n."""
-        closed = [0] + [self._closed_m(i, n) for n in range(1, self.n_max + 1)]
-        self._closed.pop(self.k**i + 1, None)
+        power = self.k**i + 1
+        closed = self._closed(f"m_{i}", power, power * self._kfac ** c_index(self.k, i), shift=1)
         self._check_identity(
             "rank-at-least count", f"m_{i}", closed,
             ((f"m_{i}", closed), (f"f_{self.k - 1}", self._fkm1)), self.n_max,
@@ -679,10 +655,7 @@ class CountTable:
                 f"m_0({n}) = {total} != (k*s+1)*t = {self.total_vertex_count(n)}"
             )
         exact = tuple(m_vals[i] - m_vals[i + 1] for i in range(max_rank + 1))
-        tail = m_vals[max_rank + 1]
-        if sum(exact) + tail != total:
-            raise ConsistencyError("rank census does not sum to the vertex total")
         ratios = tuple(Fraction(e, total) for e in exact)
         return RankCensus(
-            k=self.k, n=n, exact=exact, ratios=ratios, tail=tail, total=total
+            k=self.k, n=n, exact=exact, ratios=ratios, tail=m_vals[max_rank + 1], total=total
         )

@@ -211,8 +211,7 @@ def verify_inverse(k: int, order: int) -> bool:
 
 def oracle_R(k: int, i: int, order: int) -> TruncatedSeries:
     """Root-rank series: trees whose root has rank >= i, as T^(k^i) / k!^(c_i)."""
-    if i < 0:
-        raise DomainError("rank must be >= 0")
+    require_int(i, "rank index", 0)
     T = solve_T(k, order)
     return (T ** (k**i)) * Fraction(1, factorial(k) ** c_index(k, i))
 
@@ -223,6 +222,7 @@ def oracle_M(k: int, i: int, order: int) -> TruncatedSeries:
     n! times its x^n coefficient counts vertices of rank at least i over all
     trees on {1..n}.
     """
+    require_int(i, "rank index", 0)
     T = solve_T(k, order)
     one = TruncatedSeries.one(order)
     denom = one - (T ** (k - 1)) * Fraction(1, factorial(k - 1))
@@ -236,8 +236,7 @@ def verify_theorem_decomposition(k: int, i: int, order: int) -> bool:
     The polynomial part is -(k-1)!^(c_i) * T * sum_{j<c_i} (T^(k-1)/(k-1)!)^j,
     from the factorization f^c - 1 = (f-1)(f^(c-1) + ... + 1).
     """
-    if i < 0:
-        raise DomainError("rank must be >= 0")
+    require_int(i, "rank index", 0)
     T = solve_T(k, order)
     one = TruncatedSeries.one(order)
     c = c_index(k, i)

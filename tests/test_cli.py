@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from phylorank import bruteforce, cli, exactcount
+from phylorank import bruteforce, cli, exactcount, seriesoracle
 from phylorank.cli import main
 from phylorank.exactcount import LimitDistribution
 from phylorank.treecore import from_newick
@@ -202,6 +203,28 @@ def test_verify_ternary(capsys):
     assert out.strip().splitlines()[-1] == "PASS"
 
 
+def test_verify_fails_on_a_wrong_census(capsys, monkeypatch):
+    census = exactcount.CountTable.rank_census
+
+    def bumped(self, n, max_rank):
+        c = census(self, n, max_rank)
+        return replace(c, exact=(c.exact[0] + 1, *c.exact[1:])) if n == 4 else c
+
+    monkeypatch.setattr(exactcount.CountTable, "rank_census", bumped)
+    code, out, _ = run(capsys, "verify", "--k", "2", "--n-max", "5")
+    lines = out.strip().splitlines()
+    assert code == 3 and lines[-1] == "FAIL"
+    assert [line for line in lines if line.startswith("FAIL ")] == ["FAIL triple agreement at n=4"]
+
+
+def test_verify_fails_on_a_wrong_polynomial_split(capsys, monkeypatch):
+    monkeypatch.setattr(seriesoracle, "verify_theorem_decomposition", lambda k, i, order: False)
+    code, out, _ = run(capsys, "verify", "--k", "2", "--n-max", "5")
+    lines = out.strip().splitlines()
+    assert code == 3 and lines[-1] == "FAIL"
+    assert "FAIL polynomial split identity i=0" in lines
+
+
 def test_verify_runs_without_scipy():
     # a fresh interpreter, because a test session may already have scipy loaded
     script = (
@@ -247,6 +270,29 @@ def test_verify_refuses_an_over_cap_n_max_before_enumerating(capsys, monkeypatch
 
 
 # ------------------------------------------------------------- exit codes
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["convergence", "--k", "2", "--i", "1", "--n-grid", "3,abc"],
+        ["convergence", "--k", "2", "--i", "1", "--n-grid", "3,5", "--negligibility", "x"],
+        ["verify", "--k", "2", "--n-max", "8", "--order", "0"],
+    ],
+    ids=["n-grid", "negligibility", "order"],
+)
+def test_bad_input_is_a_usage_error_before_any_work(capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the input was checked")
+
+    monkeypatch.setattr(bruteforce, "enumerate_all", refuse)
+    monkeypatch.setattr(cli, "CountTable", refuse)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage error
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2 and "error:" in err and "Traceback" not in err
 
 
 def test_domain_error_exit_code(capsys):

@@ -195,6 +195,25 @@ def test_rank_census_tail_accounts_for_everything(table_k2):
     assert census.tail == table_k2.rank_ge_count(2, 16)
 
 
+def test_rank_census_refuses_counts_that_are_not_monotone(monkeypatch):
+    # m_2 one above m_1
+    rank_ge = CountTable.rank_ge_count
+    monkeypatch.setattr(
+        CountTable, "rank_ge_count", lambda self, i, n: rank_ge(self, i - (i == 2), n) + (i == 2)
+    )
+    with pytest.raises(ConsistencyError, match="not monotone"):
+        CountTable(2, 16).rank_census(16, 3)
+
+
+def test_rank_census_checks_m_0_against_the_vertex_total(monkeypatch):
+    table = CountTable(2, 16)
+    m_0 = table.rank_ge_count(0, 16)
+    total = CountTable.total_vertex_count
+    monkeypatch.setattr(CountTable, "total_vertex_count", lambda self, n: total(self, n) + 1)
+    with pytest.raises(ConsistencyError, match=rf"m_0\(16\) = {m_0} != \(k\*s\+1\)\*t = {m_0 + 1}"):
+        table.rank_census(16, 3)
+
+
 def test_brute_force_equivalence_small():
     # every counting sequence vs exhaustive enumeration
     for k, n_max in [(2, 6), (3, 7)]:
@@ -261,8 +280,11 @@ def test_non_integer_arguments_are_rejected(call):
         lambda: coeff_T_pow(2, True, 3),
         lambda: negligibility_ratio(2, True, 5),
         lambda: log_concavity_over_ranks(2, 2.5),
+        lambda: log_concavity_check(0, 4.5),
+        lambda: log_concavity_check(0.5, 6),
     ],
-    ids=["forest_count", "ordered_forest_counts", "coeff_T_pow", "negligibility", "over_ranks"],
+    ids=["forest_count", "ordered_forest_counts", "coeff_T_pow", "negligibility", "over_ranks",
+         "concavity_k_max", "concavity_rank"],
 )
 def test_sizes_and_powers_must_be_integers(call):
     with pytest.raises(DomainError, match="must be an integer"):
@@ -486,18 +508,29 @@ def test_dual_route_tripwire_fires_on_corruption():
         table.rank_ge_count(1, 8)
 
 
+# Every fault below is injected through one seam: CountTable._closed, the
+# builder of every closed sequence, returns the sequence named ``seq`` off by
+# ``delta`` at n.  The public query that builds a sequence of each kind:
+_QUERY = {"g": "forest_count", "r": "root_rank_count", "m": "rank_ge_count"}
+
+
+def _corrupt(monkeypatch, seq, n, delta=1):
+    closed = CountTable._closed
+
+    def corrupt(self, name, *args, **kwargs):
+        out = closed(self, name, *args, **kwargs)
+        if name == seq:
+            assert out[n], f"{seq}({n}) is 0 already"
+            out[n] += delta
+        return out
+
+    monkeypatch.setattr(CountTable, "_closed", corrupt)
+
+
 def test_composition_total_tripwire(monkeypatch):
     # g_k must equal k! * t at every n, also above verify_to: a table whose
     # closed g_k is corrupt there refuses to build
-    closed = CountTable._closed_g_array
-
-    def corrupt(self, j):
-        arr = closed(self, j)
-        if j == self.k:
-            arr[6] += 1
-        return arr
-
-    monkeypatch.setattr(CountTable, "_closed_g_array", corrupt)
+    _corrupt(monkeypatch, "g_2", 6)
     with pytest.raises(ConsistencyError, match="n=6"):
         CountTable(2, 12, verify_to=3)
 
@@ -505,15 +538,7 @@ def test_composition_total_tripwire(monkeypatch):
 def test_forest_tower_check_fires_on_corruption(monkeypatch):
     # k=3: a corrupt closed g_2 leaves the composition totals (g_3 = 3! * t)
     # intact; only the convolution g_2 = g_1 * g_1 can see it
-    closed = CountTable._closed_g_array
-
-    def corrupt(self, j):
-        arr = closed(self, j)
-        if j == 2:
-            arr[6] += 1
-        return arr
-
-    monkeypatch.setattr(CountTable, "_closed_g_array", corrupt)
+    _corrupt(monkeypatch, "g_2", 6)
     with pytest.raises(ConsistencyError, match="2-forest count at n=6"):
         CountTable(3, 12)
 
@@ -521,26 +546,13 @@ def test_forest_tower_check_fires_on_corruption(monkeypatch):
 def test_forest_count_checks_the_tower_below_it(monkeypatch):
     # g_5 asked for first: g_3 and g_4 are built and checked on the way up,
     # so the corrupt closed g_5 still meets the convolution t * g_4
-    closed = CountTable._closed_g_array
-
-    def corrupt(self, j):
-        arr = closed(self, j)
-        if j == 5:
-            arr[7] += factorial(5)
-        return arr
-
-    monkeypatch.setattr(CountTable, "_closed_g_array", corrupt)
+    _corrupt(monkeypatch, "g_5", 7, factorial(5))
     with pytest.raises(ConsistencyError, match="5-forest count at n=7"):
         CountTable(2, 10).forest_count(5, 7)
 
 
 def test_root_rank_check_fires_on_corruption(monkeypatch):
-    closed = CountTable._closed_r
-
-    def corrupt(self, i, n):
-        return closed(self, i, n) + (i == 1 and n == 6)
-
-    monkeypatch.setattr(CountTable, "_closed_r", corrupt)
+    _corrupt(monkeypatch, "r_1", 6)
     table = CountTable(2, 12)
     with pytest.raises(ConsistencyError, match=r"r_1\(6\)"):
         table.root_rank_count(1, 12)
@@ -550,42 +562,30 @@ def test_root_rank_check_fires_on_corruption(monkeypatch):
 # n_max: the identity that checks that sequence must name it and the n.
 
 
+def _check_fires_at_both_ends(
+    monkeypatch, k, seq, idx, n_first, at_end, n_max, what, verify_to=None
+):
+    n = n_max if at_end else n_first
+    clean = CountTable(k, n_max)
+    query = getattr(clean, _QUERY[seq])
+    assert query(idx, n) and not any(query(idx, m) for m in range(1, n_first))
+    _corrupt(monkeypatch, f"{seq}_{idx}", n)
+    with pytest.raises(ConsistencyError, match=rf"{what} at n={n}: .*{seq}_{idx}\({n}\)"):
+        getattr(CountTable(k, n_max, verify_to), _QUERY[seq])(idx, n_max)
+
+
 @pytest.mark.parametrize("k,j,n_first", [(3, 2, 2), (2, 3, 3)])
 @pytest.mark.parametrize("at_end", [False, True], ids=["first_nonzero", "n_max"])
 def test_forest_tower_check_covers_both_ends(monkeypatch, k, j, n_first, at_end):
     # (3, 2): g_2 built at construction, below g_k; (2, 3): g_3 = g_{k+1},
     # built by forest_count through the same per-level check
-    n_max = 12
-    n = n_max if at_end else n_first
-    closed = CountTable._closed_g_array
-
-    def corrupt(self, h):
-        arr = closed(self, h)
-        if h == j:
-            assert arr[n] and not any(arr[:n_first])
-            arr[n] += 1
-        return arr
-
-    monkeypatch.setattr(CountTable, "_closed_g_array", corrupt)
-    with pytest.raises(ConsistencyError, match=rf"{j}-forest count at n={n}: .*g_{j}\({n}\)"):
-        CountTable(k, n_max).forest_count(j, n_max)
+    _check_fires_at_both_ends(monkeypatch, k, "g", j, n_first, at_end, 12, f"{j}-forest count")
 
 
 @pytest.mark.parametrize("k,i,n_first", [(2, 1, 2), (2, 2, 4), (3, 1, 3)])
 @pytest.mark.parametrize("at_end", [False, True], ids=["first_nonzero", "n_max"])
 def test_root_rank_check_covers_both_ends(monkeypatch, k, i, n_first, at_end):
-    n_max = 13
-    n = n_max if at_end else n_first
-    closed = CountTable._closed_r
-
-    def corrupt(self, h, m):
-        return closed(self, h, m) + (h == i and m == n)
-
-    monkeypatch.setattr(CountTable, "_closed_r", corrupt)
-    table = CountTable(k, n_max)
-    assert closed(table, i, n) and not closed(table, i, n_first - 1)
-    with pytest.raises(ConsistencyError, match=rf"at n={n}: .*r_{i}\({n}\)"):
-        table.root_rank_count(i, n_max)
+    _check_fires_at_both_ends(monkeypatch, k, "r", i, n_first, at_end, 13, "root-rank count")
 
 
 @pytest.mark.parametrize("k,i,n_first", [(2, 0, 1), (2, 1, 2), (2, 2, 4), (3, 1, 3)])
@@ -593,18 +593,9 @@ def test_root_rank_check_covers_both_ends(monkeypatch, k, i, n_first, at_end):
 def test_rank_ge_check_covers_both_ends(monkeypatch, k, i, n_first, at_end):
     # the stored m_i is the closed form itself, so only this check guards it;
     # verify_to does not shorten it
-    n_max = 13
-    n = n_max if at_end else n_first
-    closed = CountTable._closed_m
-
-    def corrupt(self, h, m):
-        return closed(self, h, m) + (h == i and m == n)
-
-    monkeypatch.setattr(CountTable, "_closed_m", corrupt)
-    table = CountTable(k, n_max, verify_to=1)
-    assert closed(table, i, n) and (n_first == 1 or not closed(table, i, n_first - 1))
-    with pytest.raises(ConsistencyError, match=rf"at n={n}: .*m_{i}\({n}\)"):
-        table.rank_ge_count(i, n_max)
+    _check_fires_at_both_ends(
+        monkeypatch, k, "m", i, n_first, at_end, 13, "rank-at-least count", verify_to=1
+    )
 
 
 def test_forest_count_builds_the_tower_by_halving(monkeypatch):
@@ -680,31 +671,12 @@ def test_reduced_product_is_the_labelled_convolution(k):
 def test_identity_check_fires_on_both_routes(monkeypatch, k, seq, idx, n, route):
     d = factorial(n) // gcd(factorial(n), factorial(k) ** n)
     assert d > 1
-    delta = 1 if route == "inexact" else d
-    if seq == "g":
-        closed_g = CountTable._closed_g_array
-
-        def corrupt_g(self, j):
-            arr = closed_g(self, j)
-            if j == idx:
-                assert arr[n]
-                arr[n] += delta
-            return arr
-
-        monkeypatch.setattr(CountTable, "_closed_g_array", corrupt_g)
-    else:
-        closed = getattr(CountTable, f"_closed_{seq}")
-
-        def corrupt(self, i, m):
-            return closed(self, i, m) + delta * (i == idx and m == n)
-
-        monkeypatch.setattr(CountTable, f"_closed_{seq}", corrupt)
+    _corrupt(monkeypatch, f"{seq}_{idx}", n, 1 if route == "inexact" else d)
     name = rf"{seq}_{idx}\({n}\) = \d+"
     message = f"{name} is no count" if route == "inexact" else f"closed form {name} breaks"
     with pytest.raises(ConsistencyError, match=rf"at n={n}: {message}"):
         table = CountTable(k, 13)
-        query = {"g": table.forest_count, "r": table.root_rank_count, "m": table.rank_ge_count}
-        query[seq](idx, 13)
+        getattr(table, _QUERY[seq])(idx, 13)
 
 
 # The exact law at finite n: the one-term forms of m_i and r_i, divided by
@@ -764,19 +736,20 @@ def test_polynomial_split_equals_the_one_term_form(k):
 
 @pytest.mark.parametrize("k,i", [(2, 3), (3, 2)])
 def test_closed_m_reads_one_forest_count_per_n(monkeypatch, k, i):
+    # every m_i(n) reads g_{k^i+1}(n + 1) from one array, built once
     n_max = 40
     table = CountTable(k, n_max)
     table.root_rank_count(i, n_max)  # build r_1..r_i before counting
     calls = []
-    closed_g = CountTable._closed_g
+    forest_counts = exactcount._forest_count_array
 
-    def counting(self, j, n):
-        calls.append((j, n))
-        return closed_g(self, j, n)
+    def counting(*args):
+        calls.append(args)
+        return forest_counts(*args)
 
-    monkeypatch.setattr(CountTable, "_closed_g", counting)
+    monkeypatch.setattr(exactcount, "_forest_count_array", counting)
     table.rank_ge_count(i, n_max)
-    assert calls == [(k**i + 1, n + 1) for n in range(1, n_max + 1)]
+    assert calls == [(k, k**i + 1, n_max + 1)]
 
 
 # The closed g_p arrays are built along n by the exact term ratio; the
@@ -800,7 +773,6 @@ def test_ratio_built_forms_match_the_lagrange_form(k, n_max):
         m = coeff_T_pow(k, k**i + 1, n_max + 1) * factorial(n_max + 1) / ((k**i + 1) * kfac_c)
         assert table.root_rank_count(i, n_max) == r
         assert table.rank_ge_count(i, n_max) == m
-    assert not table._closed  # each g_p array is dropped once r_i or m_i is formed
 
 
 def test_term_ratio_refuses_an_inexact_step(monkeypatch):

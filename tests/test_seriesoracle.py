@@ -187,6 +187,8 @@ def test_domain_errors():
         solve_T(2, 0)
     with pytest.raises(DomainError):
         oracle_R(2, -1, 5)
+    with pytest.raises(DomainError, match="rank index"):  # refused before T is solved
+        oracle_M(2, 1.5, 8)
     with pytest.raises(DomainError):
         TruncatedSeries.one(4) ** -2
 
@@ -202,9 +204,14 @@ def test_domain_errors():
         lambda: solve_T("2", 4),
         lambda: TruncatedSeries([1, 2], 1.5),
         lambda: TruncatedSeries([1, 2], True),
+        lambda: oracle_R(2, 1.5, 8),
+        lambda: oracle_M(2, 1.5, 8),
+        lambda: oracle_M(2, True, 8),
+        lambda: verify_theorem_decomposition(2, 1.5, 8),
     ],
     ids=["order-bool", "order-float", "order-integral-float", "k-float", "k-bool", "k-str",
-         "series-order-float", "series-order-bool"],
+         "series-order-float", "series-order-bool", "oracle_R-rank-float",
+         "oracle_M-rank-float", "oracle_M-rank-bool", "decomposition-rank-float"],
 )
 def test_non_integer_k_and_order_rejected(make):
     # prime the memo with the int keys these compare equal to: a typed memo
