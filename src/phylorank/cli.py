@@ -191,10 +191,11 @@ def _cmd_verify(args) -> int:
         if not ok:
             failures += 1
 
-    # Refuse bad input before building or enumerating anything: the order,
-    # the table's size bound (arithmetic only), then the enumeration cap, n
-    # upward.  t grows with n, so the scan stops at the first n over the cap
-    # (n = 10 at k = 2, n = 13 at k = 3) and forms only small factorials.
+    # Refuse bad input before building or enumerating anything: n_max, the
+    # order, the table's size bound (arithmetic only), then the enumeration
+    # cap, n upward.  t grows with n, so the scan stops at the first n over the
+    # cap (n = 10 at k = 2, n = 13 at k = 3) and forms only small factorials.
+    require_int(n_max, "--n-max", 1)
     require_int(order, "truncation order", 1)
     require_table_size(k, max(n_max, order))
     for n in range(1, n_max + 1):

@@ -5,15 +5,17 @@ Each counting sequence is computed along two independent routes:
 
 * closed forms, each one term of the family g_p(n) = n! [x^n] T^p, the
   ordered p-forest counts, whose coefficients Lagrange inversion gives
-  (``coeff_T_pow``); a table builds each g_p along n by its exact term
-  ratio, from g_p(p) = p! (``_forest_count_array``), and
+  (``coeff_T_pow``); a table builds each g_p, reduced, along n by its exact
+  term ratio (``_forest_count_array``), and
 * labelled (binomial) convolution identities over labeled structures
   (root removal: a tree is a root plus an unordered set of k subtrees).
 
-A :class:`CountTable` stores the closed forms and checks each sequence
-against its identity before storing it; the class docstring says which
-identity checks which sequence, over which n, and how.  Any disagreement or
-inexact division raises :class:`ConsistencyError`.
+A :class:`CountTable` stores every sequence u reduced, as u(n) k!^n / n!,
+where labelled convolution is the plain Cauchy product.  It checks each
+sequence against its identity before storing it and lifts each query back to
+a count exactly; the class docstring says which identity checks which
+sequence, over which n, and how.  Any disagreement or inexact division
+raises :class:`ConsistencyError`.
 
 Notation used throughout: a tree on n leaves exists iff (n-1) is divisible by
 (k-1); then s = (n-1)/(k-1) counts internal vertices and k*s+1 all vertices.
@@ -113,26 +115,42 @@ def coeff_T_pow(k: int, power: int, n: int) -> Fraction:
 
 
 def _forest_count_array(k: int, p: int, upto: int) -> list[int]:
-    """g_p(n) = n! [x^n] T^p for n = 0..upto, by the exact term ratio.
+    """The reduced forest counts G_p(n) = g_p(n) k!^n / n! = k!^p [x^n] Z^p
+    for n = 0..upto, by the exact term ratio; Z = x + k!^(k-2) Z^k, so that
+    T(k! x) = k! Z(x).
 
-    With n = (k-1) s + p and N = k s + p - 1 = n + s - 1, the closed form
-    p (n-1)! C(N, s) / k!^s is p N! / (s! k!^s).  So g_p(p) = p! and each step
-    s -> s+1 (n -> n+k-1) multiplies by (N+1)...(N+k) / ((s+1) k!): a product
-    of k small integers, then an exact division by a small integer.
+    With n = (k-1) s + p and N = n + s - 1, g_p(n) = p N! / (s! k!^s), so
+    G_p(n) = p k!^(p + (k-2) s) N! / (s! n!).  So G_p(p) = k!^p and each
+    step s -> s+1 (n -> n+k-1) multiplies by k!^(k-2) (N+1)...(N+k) and
+    divides exactly by (s+1) (n+1)...(n+k-1): products of k small integers.
     """
     out = [0] * (upto + 1)
-    kfac, g = factorial(k), factorial(p)
+    kfac = factorial(k)
+    scale, g = kfac ** (k - 2), kfac**p
     for s, n in enumerate(range(p, upto + 1, k - 1)):
-        if s:
-            top = k * s + p - 1  # N at this s
-            g, r = divmod(g * prod(range(top - k + 1, top + 1)), s * kfac)
+        if s:  # (N+1)...(N+k) and (n+1)...(n+k-1) of the step before
+            den = s * prod(range(n - k + 2, n + 1))
+            g, r = divmod(g * scale * prod(range(n + s - k, n + s)), den)
             if r:
                 raise ConsistencyError(
-                    f"ordered {p}-forest count g_{p}({n}) is no integer: the term ratio "
-                    f"from n={n - k + 1} leaves remainder {r} modulo {s * kfac}"
+                    f"reduced {p}-forest count G_{p}({n}) is no integer: the term ratio "
+                    f"from n={n - k + 1} leaves remainder {r} modulo {den}"
                 )
         out[n] = g
     return out
+
+
+def _lift(name: str, n: int, value: int, fact: int, kfac_pow: int) -> int:
+    """The count value * n! / k!^n whose reduced value at n is ``value``,
+    given fact = n! and kfac_pow = k!^n; a remainder means it is no count."""
+    q, r = divmod(value * fact, kfac_pow)
+    if r:
+        d = kfac_pow // gcd(fact, kfac_pow)
+        raise ConsistencyError(
+            f"lifting the stored value at n={n}: {name}({n}) = {value} is no count: "
+            f"it is not a multiple of k!^n/gcd(n!, k!^n) = {d}"
+        )
+    return q
 
 
 def _cauchy_product(u: Sequence[int], v: Sequence[int], upto: int) -> list[int]:
@@ -358,9 +376,11 @@ larger table raises :class:`DomainError` before anything is allocated."""
 
 
 def _table_bytes(k: int, n_max: int) -> int:
-    """Estimated storage of ``CountTable(k, n_max)`` at construction: the
-    factorials 0!..n_max! take about n^2 log2(n) / 2 bits, and each of the k
-    forest sequences g_j about as many (g_j(n) / n! grows only exponentially)."""
+    """Estimated storage of ``CountTable(k, n_max)`` at construction: k + 1
+    sequences of about n^2 log2(n) / 2 bits each, the size of the unreduced
+    g_j and of 0!..n_max!.  It over-counts on purpose: the table keeps only
+    the k reduced sequences G_j, whose terms grow only exponentially in n,
+    and no factorials."""
     return ceil((k + 1) * n_max * n_max * log2(n_max) / 16)
 
 
@@ -380,17 +400,24 @@ def require_table_size(k: int, n_max: int) -> None:
 class CountTable:
     """All counting sequences for one branching factor k, exact through n_max.
 
-    Every stored sequence is one term of the family g_p(n) = n! [x^n] T^p:
+    Every sequence is one term of the family g_p(n) = n! [x^n] T^p:
     t = g_1, f_{k-1} = g_{k-1} / (k-1)!, r_i(n) = g_{k^i}(n) / k!^(c_i) and
     m_i(n) = g_{k^i+1}(n+1) / ((k^i+1) k!^(c_i)), the last because
     M_i = R_i T' = (T^(k^i+1))' / ((k^i+1) k!^(c_i)); so m_0(n) = g_2(n+1)/2.
-    Each g_p is built along n from g_p(p) = p! by its exact term ratio, one
-    product of k small integers and one exact division by a small integer
-    per step.  One builder, ``_closed``, forms each of g_j, r_i and m_i from
-    one such g_p array (through n_max + 1 for m_i) and keeps no array.  Each
-    sequence is checked against an identity before it is stored (``*`` is the
-    labelled convolution; one comparer, ``_check_identity``, checks all three
-    convolution identities):
+
+    The table stores each sequence u reduced, as u(n) k!^n / n!: that
+    substitutes x -> k! x in the exponential generating functions, and
+    T(k! x) = k! Z(x) with Z = x + k!^(k-2) Z^k, which has integer
+    coefficients.  So g_p reduces to G_p(n) = k!^p [x^n] Z^p, every reduced
+    count is an integer, and the labelled convolution of counts is the plain
+    Cauchy product of reduced sequences.  Each G_p is built along n from
+    G_p(p) = k!^p by its exact term ratio, small integers only.  One builder,
+    ``_closed``, forms each of g_j, r_i and m_i from one G_p array (through
+    n_max + 1 for m_i, whose reduced form is (n+1) G_p(n+1) / (k! p k!^(c_i)))
+    and keeps no array.  Each sequence is checked against an identity before
+    it is stored, comparing reduced values at every n with no loss (``*`` is
+    the labelled convolution; one comparer, ``_check_identity``, checks all
+    three convolution identities):
 
     * forest tower ``g_j = g_{floor(j/2)} * g_{ceil(j/2)}`` for n <= verify_to,
       with g_1 = t; g_j for j <= k is built at construction, larger j by
@@ -399,14 +426,9 @@ class CountTable:
     * root ranks ``k! r_i = r_{i-1}^{*k}`` for n <= verify_to, with r_0 = t;
     * rank-at-least ``m_i = r_i + m_i * f_{k-1}`` at every n <= n_max.
 
-    A check first reduces every sequence u in the identity to
-    u(n) k!^n / n!.  That substitutes x -> k! x in the exponential
-    generating functions, so the labelled convolution becomes the plain
-    Cauchy product of the reduced sequences and the identity is compared
-    there, at every n, with no loss.  Z = x + k!^(k-2) Z^k has integer
-    coefficients, T(k! x) = k! Z(x) and T'(k! x) = Z'(x), so every true
-    count here reduces to an integer; a sequence that does not is reported
-    as a :class:`ConsistencyError` naming it and the n.
+    Every query lifts its stored value back to a count, times n! / k!^n,
+    dividing exactly; a value that does not lift is reported as a
+    :class:`ConsistencyError` naming the sequence and the n.
 
     ``verify_to`` (default n_max) only bounds the quadratic-time checks of g
     and r; every stored value is the closed form at every n.  r and m are
@@ -421,23 +443,18 @@ class CountTable:
         self.k = k
         self.n_max = n_max
         self.verify_to = min(verify_to, n_max)
-
-        self._fact = [1] * (n_max + 1)
-        for i in range(1, n_max + 1):
-            self._fact[i] = self._fact[i - 1] * i
         self._kfac = factorial(k)
 
-        # ordered j-forest counts g_j(n) = n! [x^n] T^j, j = 1..k now, larger
-        # j on demand by forest_count
-        self._g: dict[int, tuple[int, ...]] = {}
+        # reduced ordered j-forest counts G_j, j = 1..k now, larger j on
+        # demand by forest_count
+        self._g: dict[int, list[int]] = {}
         for j in range(1, k + 1):
             self._g[j] = self._build_g(j)
         self._t = self._g[1]
         self._verify_composition_totals()
         # forests of k-1 trees (unordered), used by the rank-at-least identity
         self._fkm1 = [
-            _exact_div(v, factorial(k - 1), f"(k-1)-forest count at n={b}")
-            for b, v in enumerate(self._g[k - 1])
+            _exact_div(v, factorial(k - 1), f"f_{k - 1}({n})") for n, v in enumerate(self._g[k - 1])
         ]
 
         # the tallest possible rank: a vertex of rank i has at least k^i
@@ -451,71 +468,47 @@ class CountTable:
 
     # ----- closed forms -------------------------------------------------
 
-    def _closed(self, name: str, p: int, divisor: int = 1, shift: int = 0) -> list[int]:
-        """The closed sequence ``name``: [0] then g_p(n + shift) / divisor for
-        n = 1..n_max, from one g_p array, every division exact."""
-        g = _forest_count_array(self.k, p, self.n_max + shift)
+    def _closed(self, name: str, p: int, divisor: int = 1, derivative: bool = False) -> list[int]:
+        """The reduced closed sequence ``name``: [0] then G_p(n) / divisor for
+        n = 1..n_max, or (n+1) G_p(n+1) / divisor with ``derivative``, from
+        one G_p array, every division exact."""
+        g = _forest_count_array(self.k, p, self.n_max + derivative)
         return [0] + [
-            _exact_div(g[n + shift], divisor, f"{name}({n})") for n in range(1, self.n_max + 1)
+            _exact_div((n + 1) * g[n + 1] if derivative else g[n], divisor, f"{name}({n})")
+            for n in range(1, self.n_max + 1)
         ]
 
+    def _count(self, name: str, seq: Sequence[int], n: int) -> int:
+        """The count seq(n) n! / k!^n of the reduced sequence ``name``."""
+        return _lift(name, n, seq[n], factorial(n), self._kfac**n)
+
     # ----- convolution identities ----------------------------------------
-
-    def _reduced(self, what: str, name: str, seq: Sequence[int], upto: int) -> list[int]:
-        """seq(n) k!^n / n! for n <= upto (0 at n = 0), dividing exactly.
-
-        This maps labelled convolution to the plain Cauchy product.  Every
-        true count reduces to an integer, so a remainder is an error."""
-        out = [0] * (upto + 1)
-        kfac_pow = 1
-        for n in range(1, upto + 1):
-            kfac_pow *= self._kfac
-            q, r = divmod(seq[n] * kfac_pow, self._fact[n])
-            if r:
-                d = self._fact[n] // gcd(self._fact[n], kfac_pow)
-                raise ConsistencyError(
-                    f"{what} at n={n}: {name}({n}) = {seq[n]} is no count: "
-                    f"it is not a multiple of n!/gcd(n!, k!^n) = {d}"
-                )
-            out[n] = q
-        return out
 
     def _check_identity(
         self,
         what: str,
         name: str,
         closed: Sequence[int],
-        factors: Sequence[tuple[str, Sequence[int]]],
+        factors: Sequence[Sequence[int]],
         upto: int,
         scale: int = 1,
-        plus: tuple[str, Sequence[int]] | None = None,
+        plus: Sequence[int] | None = None,
     ) -> None:
         """Raise unless scale closed(n) = plus(n) + (f_1 * ... * f_r)(n) for
-        1 <= n <= upto, ``*`` being the labelled convolution.
-
-        ``closed`` is the closed-form sequence ``name``; ``factors`` and
-        ``plus`` (default 0) are (name, sequence) pairs.  Every sequence is
-        reduced once per name, so both sides are compared as Cauchy products.
-        """
-        reduced: dict[str, list[int]] = {}
-
-        def reduce(label: str, seq: Sequence[int]) -> list[int]:
-            if label not in reduced:
-                reduced[label] = self._reduced(what, label, seq, upto)
-            return reduced[label]
-
-        lhs = reduce(name, closed)
-        rhs = reduce(*factors[0])
+        1 <= n <= upto.  ``closed`` is the closed form ``name``; it, the
+        factors and ``plus`` (default 0) are reduced sequences, so the Cauchy
+        product ``*`` is the labelled convolution of the counts.  A factor
+        repeated as the same list takes the squaring path."""
+        rhs = factors[0]
         for factor in factors[1:]:
-            rhs = _cauchy_product(rhs, reduce(*factor), upto)
-        extra = reduce(*plus) if plus is not None else None
+            rhs = _cauchy_product(rhs, factor, upto)
         for n in range(1, upto + 1):
-            left = scale * lhs[n]
-            right = rhs[n] + extra[n] if extra is not None else rhs[n]
+            left = scale * closed[n]
+            right = rhs[n] + plus[n] if plus is not None else rhs[n]
             if left != right:
                 raise ConsistencyError(
                     f"{what} at n={n}: closed form {name}({n}) = {closed[n]} "
-                    f"breaks its convolution identity (reduced: {left} != {right})"
+                    f"breaks its convolution identity ({left} != {right}, all reduced)"
                 )
 
     def _verify_composition_totals(self) -> None:
@@ -525,23 +518,22 @@ class CountTable:
         for n in range(2, self.n_max + 1):
             if g_k[n] != self._kfac * self._t[n]:
                 raise ConsistencyError(
-                    f"ordered {self.k}-forest count at n={n} is {g_k[n]}, "
+                    f"reduced ordered {self.k}-forest count at n={n} is {g_k[n]}, "
                     f"expected k!*t = {self._kfac * self._t[n]}"
                 )
 
-    def _build_g(self, j: int) -> tuple[int, ...]:
+    def _build_g(self, j: int) -> list[int]:
         """Closed g_j, checked against g_{floor(j/2)} * g_{ceil(j/2)} through
         verify_to; both halves must be built already."""
         closed = self._closed(f"g_{j}", j)
         if j > 1:
-            a, b = j // 2, j - j // 2
+            halves = (self._g[j // 2], self._g[j - j // 2])
             self._check_identity(
-                f"ordered {j}-forest count", f"g_{j}", closed,
-                ((f"g_{a}", self._g[a]), (f"g_{b}", self._g[b])), self.verify_to,
+                f"ordered {j}-forest count", f"g_{j}", closed, halves, self.verify_to
             )
-        return tuple(closed)
+        return closed
 
-    def _forest_tower(self, j: int) -> tuple[int, ...]:
+    def _forest_tower(self, j: int) -> list[int]:
         """g_j, building and checking the missing halves below it first."""
         if j not in self._g:
             self._forest_tower(j // 2)
@@ -553,7 +545,7 @@ class CountTable:
         """Closed r_i, checked against k! r_i = r_{i-1}^{*k} through verify_to."""
         closed = self._closed(f"r_{i}", self.k**i, self._kfac ** c_index(self.k, i))
         self._check_identity(
-            "root-rank count", f"r_{i}", closed, ((f"r_{i - 1}", self._r[i - 1]),) * self.k,
+            "root-rank count", f"r_{i}", closed, (self._r[i - 1],) * self.k,
             self.verify_to, scale=self._kfac,
         )
         return closed
@@ -561,11 +553,11 @@ class CountTable:
     def _build_m(self, i: int) -> list[int]:
         """Closed m_i, checked against m_i = r_i + m_i * f_{k-1} at every n."""
         power = self.k**i + 1
-        closed = self._closed(f"m_{i}", power, power * self._kfac ** c_index(self.k, i), shift=1)
+        divisor = self._kfac * power * self._kfac ** c_index(self.k, i)
+        closed = self._closed(f"m_{i}", power, divisor, derivative=True)
         self._check_identity(
-            "rank-at-least count", f"m_{i}", closed,
-            ((f"m_{i}", closed), (f"f_{self.k - 1}", self._fkm1)), self.n_max,
-            plus=(f"r_{i}", self._get_r(i)),
+            "rank-at-least count", f"m_{i}", closed, (closed, self._fkm1), self.n_max,
+            plus=self._get_r(i),
         )
         return closed
 
@@ -596,7 +588,7 @@ class CountTable:
     def tree_count(self, n: int) -> int:
         """t_{k,n}: the number of trees on leaf set {1..n} (0 for inadmissible n)."""
         self._check_cover(n)
-        return self._t[n]
+        return self._count("t", self._t, n)
 
     def ordered_forest_counts(self, j: int) -> tuple[int, ...]:
         """g_j(n) = n! [x^n] T^j for n = 0..n_max and 1 <= j <= k: ordered
@@ -605,7 +597,12 @@ class CountTable:
         require_int(j, "ordered forest size", 1)
         if j > self.k:
             raise DomainError(f"ordered forest size must be in 1..{self.k}, got {j!r}")
-        return self._g[j]
+        out, fact, kfac_pow = [0], 1, 1
+        for n in range(1, self.n_max + 1):
+            fact *= n
+            kfac_pow *= self._kfac
+            out.append(_lift(f"g_{j}", n, self._g[j][n], fact, kfac_pow))
+        return tuple(out)
 
     def forest_count(self, j: int, n: int) -> int:
         """Unordered forests of j disjoint trees whose leaf sets partition {1..n}."""
@@ -613,20 +610,20 @@ class CountTable:
         self._check_cover(n)
         if j > n:
             return 0  # a j-forest has at least j leaves
-        g_j = self._forest_tower(j)
-        return _exact_div(g_j[n], factorial(j), f"unordered {j}-forest count at n={n}")
+        g_j = self._count(f"g_{j}", self._forest_tower(j), n)
+        return _exact_div(g_j, factorial(j), f"unordered {j}-forest count at n={n}")
 
     def root_rank_count(self, i: int, n: int) -> int:
         """r_{i,k}(n): trees on {1..n} whose root has rank at least i."""
         _check_rank(i)
         self._check_cover(n)
-        return self._get_r(i)[n]
+        return self._count(f"r_{i}", self._get_r(i), n)
 
     def rank_ge_count(self, i: int, n: int) -> int:
         """m_{i,k}(n): vertices of rank at least i summed over all trees on {1..n}."""
         _check_rank(i)
         self._check_cover(n)
-        return self._get_m(i)[n]
+        return self._count(f"m_{i}", self._get_m(i), n)
 
     def total_vertex_count(self, n: int) -> int:
         """(k*s+1) * t_{k,n}: all vertices over all trees; 0 for inadmissible n."""
@@ -634,7 +631,7 @@ class CountTable:
         if (n - 1) % (self.k - 1) != 0:
             return 0
         s = (n - 1) // (self.k - 1)
-        return (self.k * s + 1) * self._t[n]
+        return (self.k * s + 1) * self.tree_count(n)
 
     def rank_census(self, n: int, max_rank: int) -> RankCensus:
         """Exact counts of vertices of rank exactly 0..max_rank over all trees.

@@ -278,8 +278,10 @@ def test_verify_refuses_an_over_cap_n_max_before_enumerating(capsys, monkeypatch
         ["convergence", "--k", "2", "--i", "1", "--n-grid", "3,abc"],
         ["convergence", "--k", "2", "--i", "1", "--n-grid", "3,5", "--negligibility", "x"],
         ["verify", "--k", "2", "--n-max", "8", "--order", "0"],
+        ["verify", "--k", "2", "--n-max", "0", "--order", "8"],
+        ["verify", "--k", "2", "--n-max", "-3", "--order", "8"],
     ],
-    ids=["n-grid", "negligibility", "order"],
+    ids=["n-grid", "negligibility", "order", "0", "-3"],
 )
 def test_bad_input_is_a_usage_error_before_any_work(capsys, monkeypatch, argv):
     def refuse(*args, **kwargs):

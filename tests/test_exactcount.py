@@ -1,7 +1,7 @@
 import tracemalloc
 from fractions import Fraction
 from functools import reduce
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, prod
 
 import pytest
 
@@ -545,8 +545,10 @@ def test_forest_tower_check_fires_on_corruption(monkeypatch):
 
 def test_forest_count_checks_the_tower_below_it(monkeypatch):
     # g_5 asked for first: g_3 and g_4 are built and checked on the way up,
-    # so the corrupt closed g_5 still meets the convolution t * g_4
-    _corrupt(monkeypatch, "g_5", 7, factorial(5))
+    # so the corrupt closed g_5 still meets the convolution t * g_4.  The
+    # fault, 5! 2^7 on the reduced value, lifts to 5! 7!, a whole number of
+    # unordered 5-forests, so only that check can see it
+    _corrupt(monkeypatch, "g_5", 7, factorial(5) * 2**7)
     with pytest.raises(ConsistencyError, match="5-forest count at n=7"):
         CountTable(2, 10).forest_count(5, 7)
 
@@ -625,15 +627,14 @@ def _binomial_convolution(u, v, upto):
     return out
 
 
-def _via_reduction(table, factors, upto):
-    """The labelled convolution of ``factors`` as CountTable checks it: a
-    Cauchy product of reduced sequences (one list per distinct factor, so a
-    repeated factor takes the squaring path), mapped back to counts exactly."""
-    reduced = {id(f): table._reduced("test", "f", f, upto) for f in factors}
-    w = reduce(lambda x, y: _cauchy_product(x, y, upto), [reduced[id(f)] for f in factors])
+def _via_reduction(k, reduced, upto):
+    """The labelled convolution as CountTable checks it: the Cauchy product
+    of the stored reduced sequences (a factor repeated as the same list takes
+    the squaring path), lifted to counts exactly."""
+    w = reduce(lambda x, y: _cauchy_product(x, y, upto), reduced)
     out = [0] * (upto + 1)
     for n in range(1, upto + 1):
-        q, r = divmod(w[n] * factorial(n), factorial(table.k) ** n)
+        q, r = divmod(w[n] * factorial(n), factorial(k) ** n)
         assert r == 0
         out[n] = q
     return out
@@ -643,24 +644,35 @@ def _via_reduction(table, factors, upto):
 def test_reduced_product_is_the_labelled_convolution(k):
     n_max = 60
     table = CountTable(k, n_max)
-    t = table._forest_tower(1)
+    ns = range(1, n_max + 1)
+
+    def forest(j):  # (stored reduced g_j, public counts g_j)
+        return table._forest_tower(j), [0] + [table.forest_count(j, n) * factorial(j) for n in ns]
+
+    def rank(get, query, i):
+        return get(i), [0] + [query(i, n) for n in ns]
+
+    f_km1 = table._fkm1, [0] + [table.forest_count(k - 1, n) for n in ns]
     pairs = []
     for j in range(2, 2 * k + 1):
-        pairs.append([t, table._forest_tower(j - 1)])
-        pairs.append([table._forest_tower(j // 2), table._forest_tower(j - j // 2)])
+        pairs.append([forest(1), forest(j - 1)])
+        pairs.append([forest(j // 2), forest(j - j // 2)])
     for i in range(1, table._top_rank + 1):
-        pairs.append([table._get_r(i - 1)] * k)
+        pairs.append([rank(table._get_r, table.root_rank_count, i - 1)] * k)
     for i in range(table._top_rank + 1):
-        pairs.append([table._get_m(i), table._fkm1])
+        pairs.append([rank(table._get_m, table.rank_ge_count, i), f_km1])
     for factors in pairs:
-        assert _via_reduction(table, factors, n_max) == reduce(
-            lambda u, v: _binomial_convolution(u, v, n_max), factors
+        reduced, counts = zip(*factors)
+        assert _via_reduction(k, reduced, n_max) == reduce(
+            lambda u, v: _binomial_convolution(u, v, n_max), counts
         )
 
 
-# Each identity fails on either route: a corruption by 1 is no multiple of
-# n!/gcd(n!, k!^n) (> 1 at these n), so its reduction is inexact; one by that
-# multiple reduces to an integer, and the product comparison must see it.
+# Each identity fails on either route.  A stored reduced value off by (k-1)!
+# (which keeps f_{k-1} = g_{k-1} / (k-1)! exact) is no multiple of
+# d = k!^n/gcd(n!, k!^n) at these n, so it does not lift to a count: with the
+# identity checks off, the query's lift refuses it.  One off by d lifts to an
+# integer, and the product comparison must see it.
 
 
 @pytest.mark.parametrize(
@@ -669,14 +681,16 @@ def test_reduced_product_is_the_labelled_convolution(k):
 )
 @pytest.mark.parametrize("route", ["inexact", "product"])
 def test_identity_check_fires_on_both_routes(monkeypatch, k, seq, idx, n, route):
-    d = factorial(n) // gcd(factorial(n), factorial(k) ** n)
-    assert d > 1
-    _corrupt(monkeypatch, f"{seq}_{idx}", n, 1 if route == "inexact" else d)
+    d = factorial(k) ** n // gcd(factorial(n), factorial(k) ** n)
+    assert factorial(k - 1) % d
+    _corrupt(monkeypatch, f"{seq}_{idx}", n, factorial(k - 1) if route == "inexact" else d)
+    if route == "inexact":
+        monkeypatch.setattr(CountTable, "_check_identity", lambda *args, **kwargs: None)
     name = rf"{seq}_{idx}\({n}\) = \d+"
     message = f"{name} is no count" if route == "inexact" else f"closed form {name} breaks"
     with pytest.raises(ConsistencyError, match=rf"at n={n}: {message}"):
         table = CountTable(k, 13)
-        getattr(table, _QUERY[seq])(idx, 13)
+        getattr(table, _QUERY[seq])(idx, n)
 
 
 # The exact law at finite n: the one-term forms of m_i and r_i, divided by
@@ -775,10 +789,20 @@ def test_ratio_built_forms_match_the_lagrange_form(k, n_max):
         assert table.rank_ge_count(i, n_max) == m
 
 
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_reduced_builder_matches_the_lagrange_form(k):
+    # G_p(n) = k!^n [x^n] T^p, the term ratio against the binomial form
+    for p in sorted({1, 2, 3, k, k + 1, k * k + 1}):
+        built = exactcount._forest_count_array(k, p, 200)
+        assert built[0] == 0
+        assert built[1:] == [factorial(k) ** n * coeff_T_pow(k, p, n) for n in range(1, 201)]
+
+
 def test_term_ratio_refuses_an_inexact_step(monkeypatch):
-    # a wrong k! (3 for k=2) makes the first step 1 * (1*2) / 3
-    monkeypatch.setattr(exactcount, "factorial", lambda m: 3 if m == 2 else factorial(m))
-    with pytest.raises(ConsistencyError, match=r"g_1\(2\) is no integer"):
+    # rising factorials one factor short at the top: at k=2 each step
+    # multiplies by N+1 and divides by s+1 alone, and the step to n=5 is 5 * 7 / 4
+    monkeypatch.setattr(exactcount, "prod", lambda xs: prod(list(xs)[:-1]))
+    with pytest.raises(ConsistencyError, match=r"G_1\(5\) is no integer"):
         CountTable(2, 10)
 
 
