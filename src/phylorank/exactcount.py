@@ -14,8 +14,10 @@ A :class:`CountTable` stores every sequence u reduced, as u(n) k!^n / n!,
 where labelled convolution is the plain Cauchy product.  It checks each
 sequence against its identity before storing it and lifts each query back to
 a count exactly; the class docstring says which identity checks which
-sequence, over which n, and how.  Any disagreement or inexact division
-raises :class:`ConsistencyError`.
+sequence, over which n, and how (from n = PACKED_FROM on, products by
+Kronecker substitution into ``Decimal`` integers of at most PACK_DIGITS
+digits, which libmpdec multiplies by number-theoretic transform).  Any
+disagreement or inexact division raises :class:`ConsistencyError`.
 
 Notation used throughout: a tree on n leaves exists iff (n-1) is divisible by
 (k-1); then s = (n-1)/(k-1) counts internal vertices and k*s+1 all vertices.
@@ -25,7 +27,9 @@ The rank-i exponent is c_i = (k^i - 1)/(k - 1), satisfying c_{i+1} = k*c_i + 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from fractions import Fraction
+from itertools import accumulate
 from math import ceil, comb, factorial, gcd, log2, prod
 from operator import mul
 from typing import Sequence
@@ -165,6 +169,56 @@ def _cauchy_product(u: Sequence[int], v: Sequence[int], upto: int) -> list[int]:
             out[n] = acc + u[half] * u[half] if n % 2 == 0 else acc
         else:
             out[n] = sum(map(mul, u[1:n], v[n - 1:0:-1]))
+    return out
+
+
+PACKED_FROM = 500
+"""Checks through n >= PACKED_FROM use ``_packed_product``; below, the quadratic one is as fast."""
+
+PACK_DIGITS = 116_736
+"""Most digits in one operand of a ``_packed_product`` multiplication.  Two such operands fill
+libmpdec's transform of 3 * 2^12 words, whose scratch costs about 3.4 bytes per operand digit:
+this budget, not the table's size, bounds that scratch."""
+
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
+def _packed_product(u: Sequence[int], v: Sequence[int], upto: int) -> list[int]:
+    """``_cauchy_product(u, v, upto)`` for non-negative u, v by Kronecker substitution in blocks
+    of ``size`` indices.  The blocks at a and b are packed into ``Decimal`` integers with D-digit
+    slots, so that slot j of their product sums u(i) v(i') over i + i' = a + b + j.  The pairs
+    with a + b = s are added (a square doubles each mirror pair), and w(n) sums slot n - s of
+    the two s that reach n.  A slot read sums fewer than upto terms, so it cannot overflow
+    D = digits(upto) + digits(u(i)) + digits(v(i')) for the largest of them; carries run upward
+    only.  Integers pass through ``Decimal``, never ``str(int)``, which has a digit limit."""
+    du = [Decimal(x) for x in u[:upto + 1]]
+    dv = du if v is u else [Decimal(x) for x in v[:upto + 1]]
+    top = list(accumulate((x.adjusted() for x in dv), max))  # digits - 1 of max v(0..j)
+
+    def slot(a: int, b: int, size: int) -> int:  # D of the blocks at a and b
+        rows = range(a, min(a + size, upto + 1 - b))
+        terms = (du[i].adjusted() + top[min(b + size - 1, upto - i)] for i in rows)
+        return max(terms, default=0) + len(str(upto)) + 2
+
+    def pack(seq: list[Decimal], lo: int, hi: int, d: int) -> Decimal:
+        return Decimal("".join(str(c).zfill(d) for c in reversed(seq[lo:hi])))
+
+    size = max(1, PACK_DIGITS // slot(1, 1, upto))
+    out = [0] * (upto + 1)
+    for s in range(2, upto + 1, size):
+        pairs = [(a, s - a) for a in range(1, s, size) if v is not u or 2 * a <= s]
+        d = max(slot(a, b, size) for a, b in pairs)
+        total = Decimal(0)
+        for a, b in pairs:
+            x = pack(du, a, min(a + size, upto + 1 - b), d)
+            y = x if v is u and a == b else pack(dv, b, min(b + size, upto + 1 - a), d)
+            total = _EXACT.fma(x, _EXACT.add(y, y) if v is u and a != b else y, total)
+        del x, y  # only the sum is left when it is unpacked
+        digits = str(total)
+        for n in range(s, min(upto, s + 2 * size - 2) + 1):
+            end = len(digits) - (n - s) * d
+            if end > 0:
+                out[n] += int(Decimal(digits[max(0, end - d):end]))
     return out
 
 
@@ -417,7 +471,9 @@ class CountTable:
     and keeps no array.  Each sequence is checked against an identity before
     it is stored, comparing reduced values at every n with no loss (``*`` is
     the labelled convolution; one comparer, ``_check_identity``, checks all
-    three convolution identities):
+    three convolution identities; through n >= PACKED_FROM = 500 it forms
+    ``*`` by ``_packed_product``, in blocks of at most PACK_DIGITS digits, and
+    below by the quadratic ``_cauchy_product``):
 
     * forest tower ``g_j = g_{floor(j/2)} * g_{ceil(j/2)}`` for n <= verify_to,
       with g_1 = t; g_j for j <= k is built at construction, larger j by
@@ -430,8 +486,8 @@ class CountTable:
     dividing exactly; a value that does not lift is reported as a
     :class:`ConsistencyError` naming the sequence and the n.
 
-    ``verify_to`` (default n_max) only bounds the quadratic-time checks of g
-    and r; every stored value is the closed form at every n.  r and m are
+    ``verify_to`` (default n_max) only bounds the checks of g and r; every
+    stored value is the closed form at every n.  r and m are
     filled on first use, so a table is not for concurrent use.
     """
 
@@ -499,9 +555,10 @@ class CountTable:
         factors and ``plus`` (default 0) are reduced sequences, so the Cauchy
         product ``*`` is the labelled convolution of the counts.  A factor
         repeated as the same list takes the squaring path."""
+        product = _packed_product if upto >= PACKED_FROM else _cauchy_product
         rhs = factors[0]
         for factor in factors[1:]:
-            rhs = _cauchy_product(rhs, factor, upto)
+            rhs = product(rhs, factor, upto)
         for n in range(1, upto + 1):
             left = scale * closed[n]
             right = rhs[n] + plus[n] if plus is not None else rhs[n]

@@ -1,3 +1,5 @@
+import random
+import sys
 import tracemalloc
 from fractions import Fraction
 from functools import reduce
@@ -817,3 +819,108 @@ def test_table_forms_no_binomial_per_n(monkeypatch):
     monkeypatch.setattr(exactcount, "comb", counting)
     CountTable(2, 200).rank_ge_count(2, 200)
     assert len(calls) <= 2
+
+
+# The packed product against the quadratic reference.  Checks through
+# n >= PACKED_FROM form their products by Kronecker substitution in blocks of
+# at most PACK_DIGITS digits; _cauchy_product stays the independent route.
+
+
+def _random_sequence(rng, length, digits, zeros=0.0):
+    return [0] + [
+        0 if rng.random() < zeros else rng.randrange(10 ** rng.randrange(digits + 1))
+        for _ in range(length)
+    ]
+
+
+@pytest.mark.parametrize("budget", [1, 20, 45, 100, 1000, None])
+@pytest.mark.parametrize("zeros", [0.0, 0.8], ids=["dense", "zero_heavy"])
+def test_packed_product_matches_the_quadratic_reference(monkeypatch, budget, zeros):
+    # every upto from 0 to 40, so that the product ends just before, at and
+    # just after each block boundary; a tiny budget cuts many blocks
+    if budget is not None:
+        monkeypatch.setattr(exactcount, "PACK_DIGITS", budget)
+    rng = random.Random(f"packed {budget} {zeros}")
+    for upto in range(41):
+        u = _random_sequence(rng, upto + 3, 25, zeros)
+        v = _random_sequence(rng, upto, 25, zeros)
+        assert exactcount._packed_product(u, v, upto) == _cauchy_product(u, v, upto)
+        assert exactcount._packed_product(u, u, upto) == _cauchy_product(u, u, upto)
+    assert exactcount._packed_product([0] * 41, [0] * 41, 40) == [0] * 41
+    # all nines: every slot as full as the slot width allows
+    nines = [0] + [10**25 - 1] * 40
+    assert exactcount._packed_product(nines, nines, 40) == _cauchy_product(nines, nines, 40)
+    assert exactcount._packed_product(nines, nines[:], 40) == _cauchy_product(nines, nines, 40)
+
+
+@pytest.mark.parametrize("shift", [-1, 0, 1])
+def test_packed_product_matches_at_the_crossover(shift):
+    rng = random.Random(shift)
+    upto = exactcount.PACKED_FROM + shift
+    u, v = _random_sequence(rng, upto, 40), _random_sequence(rng, upto, 40)
+    assert exactcount._packed_product(u, v, upto) == _cauchy_product(u, v, upto)
+    assert exactcount._packed_product(u, u, upto) == _cauchy_product(u, u, upto)
+
+
+def test_packed_product_ignores_the_int_str_digit_limit():
+    # 5000-digit coefficients, over CPython's default limit of 4300 digits
+    # for str(int) and int(str), which importing render raises for the CLI
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no int/str digit limit in this Python")
+    rng = random.Random(5000)
+    u = [0] + [rng.randrange(10**4999, 10**5000) for _ in range(30)]
+    v = [0] + [rng.randrange(10**4999, 10**5000) for _ in range(30)]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ValueError):
+            str(u[1])
+        assert exactcount._packed_product(u, v, 30) == _cauchy_product(u, v, 30)
+        assert exactcount._packed_product(u, u, 30) == _cauchy_product(u, u, 30)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_packed_product_of_the_table_sequences(k):
+    # the factors of g_2, r_1, r_2, m_1 and m_2 just above the crossover;
+    # at k=3, r_i is a 3-fold product whose second step is no square
+    n = exactcount.PACKED_FROM + 3
+    table = CountTable(k, n)
+    factors = [[table._g[1]] * 2]
+    for i in (1, 2):
+        factors.append([table._get_r(i - 1)] * k)
+        factors.append([table._get_m(i), table._fkm1])
+    for seqs in factors:
+        packed = reduce(lambda x, y: exactcount._packed_product(x, y, n), seqs)
+        assert packed == reduce(lambda x, y: _cauchy_product(x, y, n), seqs)
+
+
+@pytest.mark.parametrize(
+    "k,seq", [(2, "g_2"), (2, "r_1"), (3, "r_1"), (2, "m_1"), (3, "m_1")]
+)
+@pytest.mark.parametrize("at", ["half", "n_max"])
+def test_packed_checks_fail_like_the_quadratic_ones(monkeypatch, k, seq, at):
+    # n_max = 503 puts every check on the packed route; the same fault must
+    # fail it at the same n, with the same message, as on the quadratic route
+    n_max = exactcount.PACKED_FROM + 3
+    n = n_max // 2 if at == "half" else n_max
+    _corrupt(monkeypatch, seq, n)
+    packed_calls = []
+    packed = exactcount._packed_product
+    monkeypatch.setattr(
+        exactcount, "_packed_product", lambda *args: packed_calls.append(args) or packed(*args)
+    )
+
+    def failure():
+        with pytest.raises(ConsistencyError, match=rf"at n={n}: closed form {seq}\({n}\)") as err:
+            table = CountTable(k, n_max)
+            getattr(table, _QUERY[seq[0]])(int(seq[2:]), n_max)
+        return str(err.value)
+
+    message = failure()
+    assert packed_calls
+    monkeypatch.setattr(exactcount, "PACKED_FROM", n_max + 1)
+    packed_calls.clear()
+    assert failure() == message
+    assert not packed_calls
