@@ -18,8 +18,11 @@ reads off its sibling sets.
 
 So a tree needs one uniform partition: one shuffle of {1..N}, cut into s
 blocks of k (each partition arises from s! k!^s permutations), then the map
-above with a heap of ready blocks.  No count table, big integer or float is
-involved, and a tree costs O(N log N).
+above, run by one core with a heap of ready blocks.  ``sample_batch`` makes
+each block's parent vertex; ``sample_rank_counts`` keeps only the parent's
+rank, 1 + the least rank in its block.  A batch's trees share their leaves,
+which is safe as vertices are immutable and know no parent.  No count table,
+big integer or float is involved, and a tree costs O(N log N).
 
 Sample j draws from its own generator, seeded by a keyed hash of
 (base_seed, j), so a batch's first m trees are the batch of count m.
@@ -29,48 +32,62 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import Counter
 from heapq import heapify, heappop, heappush
 from typing import Iterator
 
 from .errors import DomainError, require_int
 from .exactcount import MAX_TABLE_BYTES, is_admissible
-from .treecore import Tree, Vertex, internal, leaf
+from .treecore import Tree, internal, leaf
 
-__all__ = ["sample_batch"]
+__all__ = ["sample_batch", "sample_rank_counts"]
 
-# Peak memory of one sampled tree and its Newick string, per vertex: 204 to
-# 213 B of peak RSS at k = 2, 3, 5 and n = 100,001 to 400,001 (CPython 3.11).
+# Peak RSS per vertex of one sampled tree, its batch's leaves and its Newick
+# string: 201 to 215 B at k = 2, 3, 5 and n = 100,001 to 400,001 (CPython 3.11).
 BYTES_PER_VERTEX = 216
 
 
-def _rng_for(base_seed: int, index: int) -> random.Random:
-    digest = hashlib.blake2b(
-        f"phylorank:{base_seed}:{index}".encode(), digest_size=16
-    ).digest()
-    return random.Random(int.from_bytes(digest, "big"))
-
-
-def _build_root(k: int, n: int, top: int, rng: random.Random) -> Vertex:
-    """The tree of a uniform partition of {1..top} into blocks of k: made[x]
-    is the vertex labelled x, and a block waits for its largest label."""
-    labels = list(range(1, top + 1))
-    rng.shuffle(labels)
-    made = [None] + [leaf(label) for label in range(1, n + 1)]
-    ready, waiting = [], {}  # heap of (least label, block); largest -> block
-    for i in range(0, top, k):
+def _blocks_in_order(k: int, n: int, labels: list[int]) -> Iterator[list[int]]:
+    """The blocks of the partition ``labels`` (read k at a time) in the order
+    their parents n+1, n+2, ... are made; the last is the root's.  A block
+    waits for its largest label; the ready heap holds least labels."""
+    by_least, waiting = {}, {}
+    for i in range(0, len(labels), k):
         block = labels[i:i + k]
         last = max(block)
         if last <= n:
-            ready.append((min(block), block))
+            by_least[min(block)] = block
         else:
             waiting[last] = block
+    ready = list(by_least)
     heapify(ready)
-    for label in range(n + 1, top + 2):  # the last parent made is the root
-        made.append(internal([made[x] for x in heappop(ready)[1]]))
+    for label in range(n + 1, len(labels) + 2):
+        yield by_least.pop(heappop(ready))
         block = waiting.pop(label, None)
         if block is not None:
-            heappush(ready, (min(block), block))
-    return made[-1]
+            heappush(ready, least := min(block))
+            by_least[least] = block
+
+
+def _shuffles(k: int, n: int, count: int, base_seed: int) -> Iterator[list[int]]:
+    """For each sample j, {1..ks} shuffled by its own seeded generator, once
+    the arguments and the memory bound are checked."""
+    require_int(count, "count", 0)
+    if count == 0:
+        return
+    if not is_admissible(k, n):
+        raise DomainError(f"n={n} is inadmissible for k={k}: nothing to sample")
+    s = (n - 1) // (k - 1)
+    if (k * s + 1) * BYTES_PER_VERTEX > MAX_TABLE_BYTES:
+        raise DomainError(
+            f"a tree for k={k}, n={n} has {k * s + 1} vertices, over the "
+            f"{MAX_TABLE_BYTES >> 20} MiB bound at {BYTES_PER_VERTEX} bytes each"
+        )
+    for j in range(count):
+        labels = list(range(1, k * s + 1))
+        digest = hashlib.blake2b(f"phylorank:{base_seed}:{j}".encode(), digest_size=16).digest()
+        random.Random(int.from_bytes(digest, "big")).shuffle(labels)
+        yield labels
 
 
 def sample_batch(k: int, n: int, count: int, base_seed: int, table=None) -> Iterator[Tree]:
@@ -84,16 +101,21 @@ def sample_batch(k: int, n: int, count: int, base_seed: int, table=None) -> Iter
     ignored (no count table is read); it stays only while
     ``bench/workloads.py`` still passes one.
     """
-    require_int(count, "count", 0)
-    if count == 0:
-        return
-    if not is_admissible(k, n):
-        raise DomainError(f"n={n} is inadmissible for k={k}: nothing to sample")
-    s = (n - 1) // (k - 1)
-    if (k * s + 1) * BYTES_PER_VERTEX > MAX_TABLE_BYTES:
-        raise DomainError(
-            f"a tree for k={k}, n={n} has {k * s + 1} vertices, over the "
-            f"{MAX_TABLE_BYTES >> 20} MiB bound at {BYTES_PER_VERTEX} bytes each"
-        )
-    for j in range(count):
-        yield Tree(_build_root(k, n, k * s, _rng_for(base_seed, j)), k)
+    leaves = None
+    for labels in _shuffles(k, n, count, base_seed):
+        if leaves is None:  # after the checks; vertices are immutable, so shared
+            leaves = [None] + [leaf(label) for label in range(1, n + 1)]
+        made = leaves.copy()  # made[x] is the vertex labelled x
+        for block in _blocks_in_order(k, n, labels):
+            made.append(internal([made[x] for x in block]))
+        yield Tree(made[-1], k)
+
+
+def sample_rank_counts(k: int, n: int, count: int, base_seed: int) -> Iterator[Counter]:
+    """Vertex counts by rank of each tree of ``sample_batch(k, n, count,
+    base_seed)``, from the same shuffles, with one rank per label and no vertex."""
+    for labels in _shuffles(k, n, count, base_seed):
+        rank = [0] * (len(labels) + 2)
+        for label, block in enumerate(_blocks_in_order(k, n, labels), n + 1):
+            rank[label] = 1 + min(map(rank.__getitem__, block))
+        yield Counter(rank[1:])

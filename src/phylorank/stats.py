@@ -31,8 +31,8 @@ from .exactcount import (
     rank_eq_limit,
     rank_ge_limit,
 )
-from .sampler import sample_batch
-from .treecore import census_of, to_newick
+from .sampler import sample_batch, sample_rank_counts
+from .treecore import to_newick
 
 __all__ = [
     "RankEstimateRow",
@@ -80,10 +80,10 @@ def estimate_rank_distribution(
 ) -> EstimateReport:
     """Monte Carlo rank frequencies over ``samples`` uniform trees.
 
-    Aggregates every vertex of every sampled tree.  At fixed n all trees have
+    Counts every vertex of every sampled tree by rank, straight from the
+    tree's partition (``sample_rank_counts``).  At fixed n all trees have
     exactly k*s+1 vertices, so per-vertex aggregation and the two-stage
-    "random vertex of a random tree" model coincide; this is asserted per
-    sampled tree.
+    "random vertex of a random tree" model coincide; this is asserted per tree.
     """
     require_int(samples, "samples", 1)
     require_int(max_rank, "max_rank", 0)
@@ -91,18 +91,15 @@ def estimate_rank_distribution(
         raise DomainError(f"n={n} is inadmissible for k={k}")
     expected_vertices = k * internal_vertices(k, n) + 1
 
-    counts = [0] * (max_rank + 1)
-    tail = 0
-    total = 0
-    for tree in sample_batch(k, n, samples, base_seed):
-        census = census_of(tree, max_rank)
-        if census.total != expected_vertices:
+    by_rank = Counter()
+    for tree_counts in sample_rank_counts(k, n, samples, base_seed):
+        if (vertices := sum(tree_counts.values())) != expected_vertices:
             raise ConsistencyError(
-                f"sampled tree has {census.total} vertices, expected {expected_vertices}"
+                f"sampled tree has {vertices} vertices, expected {expected_vertices}"
             )
-        total += census.total
-        tail += census.tail
-        counts = [a + b for a, b in zip(counts, census.exact)]
+        by_rank.update(tree_counts)
+    total = samples * expected_vertices
+    counts = [by_rank[i] for i in range(max_rank + 1)]
 
     rows = []
     for i in range(max_rank + 1):
@@ -125,7 +122,7 @@ def estimate_rank_distribution(
         max_rank=max_rank,
         total_vertices=total,
         rows=tuple(rows),
-        tail_count=tail,
+        tail_count=total - sum(counts),
     )
 
 

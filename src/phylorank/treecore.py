@@ -81,12 +81,13 @@ def internal(children) -> Vertex:
     kids = sorted(children, key=_min_label)
     if not kids:
         raise DomainError("an internal vertex needs at least one child")
+    least = kids[0].min_label
     # stable, reverse included: the order of Vertex.sort_key, by C-level keys
     kids.sort(key=_size, reverse=True)
     return Vertex(
         None,
         tuple(kids),
-        min(map(_min_label, kids)),
+        least,
         sum(map(_size, kids)),
         1 + min(map(_rank, kids)),
     )
@@ -103,7 +104,7 @@ class Tree:
         self.k = k
         self._preorder = None
         self._newick = None
-        self._members = None  # ids of this tree's vertices, built on demand
+        self._members = None  # this tree's vertices, by identity, built on demand
 
     def vertices(self) -> tuple[Vertex, ...]:
         """All vertices in preorder, computed once (iteratively) and cached."""
@@ -220,8 +221,8 @@ def is_valid(tree: Tree) -> bool:
 def rank_of(tree: Tree, vertex: Vertex) -> int:
     """Rank of ``vertex``: distance to its nearest descendant leaf."""
     if tree._members is None:
-        tree._members = frozenset(map(id, tree.vertices()))
-    if id(vertex) not in tree._members:
+        tree._members = frozenset(tree.vertices())
+    if vertex not in tree._members:
         raise DomainError("vertex does not belong to this tree")
     return vertex.rank
 

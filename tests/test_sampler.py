@@ -10,8 +10,8 @@ import pytest
 from phylorank.bruteforce import enumerate_all
 from phylorank.errors import DomainError
 from phylorank.exactcount import CountTable, MAX_TABLE_BYTES, internal_vertices
-from phylorank.sampler import BYTES_PER_VERTEX, sample_batch
-from phylorank.treecore import to_newick, validate
+from phylorank.sampler import BYTES_PER_VERTEX, sample_batch, sample_rank_counts
+from phylorank.treecore import census_of, rank_of, to_newick, validate
 
 FIGURE_ONE = {"((1,2),3);", "((1,3),2);", "((2,3),1);"}
 
@@ -74,6 +74,22 @@ def test_every_support_tree_reachable():
     assert min(seen.values()) > 10
 
 
+def test_trees_of_a_batch_share_their_leaves():
+    a, b = sample_batch(2, 9, 2, base_seed=3)
+    leaves = {v.label: v for v in a.vertices() if v.is_leaf}
+    shared = [v for v in b.vertices() if v.is_leaf]
+    assert len(shared) == 9 and all(leaves[v.label] is v for v in shared)
+    for v in shared:
+        assert rank_of(a, v) == rank_of(b, v) == 0
+    # the internal vertices are each tree's own
+    for v in a.vertices():
+        if not v.is_leaf:
+            with pytest.raises(DomainError, match="does not belong"):
+                rank_of(b, v)
+    with pytest.raises(DomainError, match="does not belong"):
+        rank_of(a, b.root)
+
+
 def test_inadmissible_rejected():
     with pytest.raises(DomainError):
         list(sample_batch(3, 4, 1, base_seed=1))
@@ -91,6 +107,8 @@ def test_memory_guard_refuses_huge_trees_at_once():
     try:
         with pytest.raises(DomainError, match="MiB"):
             list(sample_batch(2, 10**9, 1, 0))
+        with pytest.raises(DomainError, match="MiB"):
+            list(sample_rank_counts(2, 10**9, 1, 0))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -171,3 +189,29 @@ def test_round_trip_is_a_bijection_onto_every_tree(k, n, monkeypatch):
     # blocks of k, and there are as many trees: the sampler's map, its
     # inverse, is a bijection
     assert len(partitions) == factorial(k * s) // (factorial(s) * factorial(k) ** s)
+
+
+def _census_counts(tree):
+    census = census_of(tree, max_rank=max(v.rank for v in tree.vertices()))
+    assert census.tail == 0
+    return Counter(dict(enumerate(census.exact)))
+
+
+@pytest.mark.parametrize("k, n", [(2, 7), (3, 9), (4, 10)])
+def test_rank_counts_match_the_census_of_every_tree(k, n, monkeypatch):
+    # each tree's own partition, dealt in place of the shuffle as above
+    dealt = []
+    monkeypatch.setattr(random.Random, "shuffle", lambda self, x: x.__setitem__(slice(None), dealt))
+    for tree in enumerate_all(k, n):
+        dealt[:] = [x for b in _partition_of(tree) for x in b]
+        (counts,) = sample_rank_counts(k, n, 1, base_seed=0)
+        assert counts == _census_counts(tree)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_rank_counts_match_the_census_of_a_seeded_batch(k):
+    trees = sample_batch(k, 1001, 30, base_seed=77)
+    counted = sample_rank_counts(k, 1001, 30, base_seed=77)
+    for tree, counts in zip(trees, counted, strict=True):
+        assert counts == _census_counts(tree)
+        assert sum(counts.values()) == tree.n_vertices

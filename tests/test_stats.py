@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from phylorank.errors import DomainError
+from phylorank import stats
+from phylorank.errors import ConsistencyError, DomainError
 from phylorank.exactcount import CountTable, rank_eq_limit
-from phylorank.sampler import sample_batch
+from phylorank.sampler import sample_batch, sample_rank_counts
 from phylorank.stats import (
     chi_square_critical,
     chi_square_uniformity,
@@ -70,6 +71,20 @@ def test_estimate_domain_errors():
         estimate_rank_distribution(3, 4, 5, base_seed=1, max_rank=2)
 
 
+def test_estimate_checks_each_tree_vertex_count(monkeypatch):
+    # a counter that loses one leaf of every tree must not go unnoticed
+    counted = stats.sample_rank_counts
+
+    def dropping_one(*args):
+        for counts in counted(*args):
+            counts[0] -= 1
+            yield counts
+
+    monkeypatch.setattr(stats, "sample_rank_counts", dropping_one)
+    with pytest.raises(ConsistencyError, match="sampled tree has 16 vertices, expected 17"):
+        estimate_rank_distribution(2, 9, 3, base_seed=1, max_rank=2)
+
+
 @pytest.mark.parametrize("bad", [True, False, 2.5, "3", None])
 @pytest.mark.parametrize(
     "call",
@@ -79,8 +94,10 @@ def test_estimate_domain_errors():
         lambda v: chi_square_uniformity(2, 3, v, 1),
         lambda v: RankCensus.of_trees(2, 3, [], v),
         lambda v: list(sample_batch(2, 5, v, 1)),
+        lambda v: list(sample_rank_counts(2, 5, v, 1)),
     ],
-    ids=["estimate-samples", "estimate-max_rank", "chi-square-samples", "census-max_rank", "sample-count"],
+    ids=["estimate-samples", "estimate-max_rank", "chi-square-samples", "census-max_rank", "sample-count",
+         "rank-counts-count"],
 )
 def test_counts_must_be_ints(call, bad):
     with pytest.raises(DomainError, match="must be an integer"):
