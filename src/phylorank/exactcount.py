@@ -15,9 +15,10 @@ where labelled convolution is the plain Cauchy product.  It checks each
 sequence against its identity before storing it and lifts each query back to
 a count exactly; the class docstring says which identity checks which
 sequence, over which n, and how (from n = PACKED_FROM on, products by
-Kronecker substitution into ``Decimal`` integers of at most PACK_DIGITS
-digits, which libmpdec multiplies by number-theoretic transform).  Any
-disagreement or inexact division raises :class:`ConsistencyError`.
+two-point Kronecker substitution into ``Decimal`` integers of at most
+PACK_DIGITS digits, which libmpdec multiplies by number-theoretic
+transform).  Any disagreement or inexact division raises
+:class:`ConsistencyError`.
 
 Notation used throughout: a tree on n leaves exists iff (n-1) is divisible by
 (k-1); then s = (n-1)/(k-1) counts internal vertices and k*s+1 all vertices.
@@ -173,7 +174,10 @@ def _cauchy_product(u: Sequence[int], v: Sequence[int], upto: int) -> list[int]:
 
 
 PACKED_FROM = 500
-"""Checks through n >= PACKED_FROM use ``_packed_product``; below, the quadratic one is as fast."""
+"""Checks through n >= PACKED_FROM use ``_packed_product``, below it ``_cauchy_product``.  On a
+table's own factors the two are about equal at n = 300 for k = 2, where the packed one is 1.7
+times faster at n = 500; for k = 3 the quadratic one is faster through n = 1000 (1.4 times at
+500), so one threshold for every k lies between the two."""
 
 PACK_DIGITS = 116_736
 """Most digits in one operand of a ``_packed_product`` multiplication.  Two such operands fill
@@ -184,41 +188,60 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 def _packed_product(u: Sequence[int], v: Sequence[int], upto: int) -> list[int]:
-    """``_cauchy_product(u, v, upto)`` for non-negative u, v by Kronecker substitution in blocks
-    of ``size`` indices.  The blocks at a and b are packed into ``Decimal`` integers with D-digit
-    slots, so that slot j of their product sums u(i) v(i') over i + i' = a + b + j.  The pairs
-    with a + b = s are added (a square doubles each mirror pair), and w(n) sums slot n - s of
-    the two s that reach n.  A slot read sums fewer than upto terms, so it cannot overflow
-    D = digits(upto) + digits(u(i)) + digits(v(i')) for the largest of them; carries run upward
-    only.  Integers pass through ``Decimal``, never ``str(int)``, which has a digit limit."""
+    """``_cauchy_product(u, v, upto)`` for non-negative u, v by two-point Kronecker substitution
+    (Harvey 2009) in blocks of ``size`` indices.  A block f is evaluated at x = 10^h and -10^h
+    as E + O and E - O, where E packs its even-index terms and O its odd-index ones, shifted by
+    h digits, into ``Decimal`` integers with 2h-digit slots.  For the pairs of blocks at a and b
+    with a + b = s, P+ and P- sum the products at 10^h and at -10^h (a square doubles each mirror
+    pair), so that (P+ + P-)/2 holds the even slots and (P+ - P-)/2 the odd ones, slot j of either
+    summing u(i) v(i') over i + i' = s + j in the 2h digits that end h j digits from its right.
+    w(n) sums slot n - s of the two s that reach n.  A slot read sums fewer than upto terms, so
+    it cannot overflow D = digits(upto) + digits(u(i)) + digits(v(i')) for the largest of them,
+    and h = ceil(D/2); carries run upward only.  Integers pass through ``Decimal``, never
+    ``str(int)``, which has a digit limit."""
     du = [Decimal(x) for x in u[:upto + 1]]
     dv = du if v is u else [Decimal(x) for x in v[:upto + 1]]
     top = list(accumulate((x.adjusted() for x in dv), max))  # digits - 1 of max v(0..j)
 
-    def slot(a: int, b: int, size: int) -> int:  # D of the blocks at a and b
+    def half(a: int, b: int, size: int) -> int:  # h = ceil(D/2) of the blocks at a and b
         rows = range(a, min(a + size, upto + 1 - b))
         terms = (du[i].adjusted() + top[min(b + size - 1, upto - i)] for i in rows)
-        return max(terms, default=0) + len(str(upto)) + 2
+        return (max(terms, default=0) + len(str(upto)) + 3) // 2
 
-    def pack(seq: list[Decimal], lo: int, hi: int, d: int) -> Decimal:
-        return Decimal("".join(str(c).zfill(d) for c in reversed(seq[lo:hi])))
+    def points(seq: list[Decimal], lo: int, hi: int, h: int) -> tuple[Decimal, Decimal]:
+        even, odd = (  # E and O of the block seq[lo:hi]
+            Decimal("".join(str(c).zfill(2 * h) for c in reversed(seq[i:hi:2])) + "0" * shift)
+            for i, shift in ((lo, 0), (lo + 1, h))
+        )
+        return _EXACT.add(even, odd), _EXACT.subtract(even, odd)
 
-    size = max(1, PACK_DIGITS // slot(1, 1, upto))
+    # a block's evaluations have at most h (size + 1) digits
+    size = max(1, PACK_DIGITS // half(1, 1, upto) - 1)
     out = [0] * (upto + 1)
     for s in range(2, upto + 1, size):
         pairs = [(a, s - a) for a in range(1, s, size) if v is not u or 2 * a <= s]
-        d = max(slot(a, b, size) for a, b in pairs)
-        total = Decimal(0)
+        h = max(half(a, b, size) for a, b in pairs)
+        plus = minus = Decimal(0)
         for a, b in pairs:
-            x = pack(du, a, min(a + size, upto + 1 - b), d)
-            y = x if v is u and a == b else pack(dv, b, min(b + size, upto + 1 - a), d)
-            total = _EXACT.fma(x, _EXACT.add(y, y) if v is u and a != b else y, total)
-        del x, y  # only the sum is left when it is unpacked
-        digits = str(total)
-        for n in range(s, min(upto, s + 2 * size - 2) + 1):
-            end = len(digits) - (n - s) * d
-            if end > 0:
-                out[n] += int(Decimal(digits[max(0, end - d):end]))
+            x = points(du, a, min(a + size, upto + 1 - b), h)
+            y = x if v is u and a == b else points(dv, b, min(b + size, upto + 1 - a), h)
+            if v is u and a != b:
+                y = tuple(_EXACT.add(c, c) for c in y)
+            plus = _EXACT.fma(x[0], y[0], plus)
+            minus = _EXACT.fma(x[1], y[1], minus)
+        del x, y  # only the sums are left when they are unpacked
+        slots = _EXACT.divide_int(_EXACT.add(plus, minus), 2)  # the even slots
+        del plus
+        for parity in (0, 1):
+            if parity:  # (P+ + P-)/2 - P- = (P+ - P-)/2
+                slots = _EXACT.subtract(slots, minus)
+                del minus
+            digits = str(slots)
+            for n in range(s + parity, min(upto, s + 2 * size - 2) + 1, 2):
+                end = len(digits) - (n - s) * h
+                if end > 0:
+                    out[n] += int(Decimal(digits[max(0, end - 2 * h):end]))
+            del digits
     return out
 
 
@@ -472,8 +495,9 @@ class CountTable:
     it is stored, comparing reduced values at every n with no loss (``*`` is
     the labelled convolution; one comparer, ``_check_identity``, checks all
     three convolution identities; through n >= PACKED_FROM = 500 it forms
-    ``*`` by ``_packed_product``, in blocks of at most PACK_DIGITS digits, and
-    below by the quadratic ``_cauchy_product``):
+    ``*`` by ``_packed_product``, which evaluates blocks of each sequence at
+    x = 10^h and -10^h in operands of at most PACK_DIGITS digits, and below
+    by the quadratic ``_cauchy_product``):
 
     * forest tower ``g_j = g_{floor(j/2)} * g_{ceil(j/2)}`` for n <= verify_to,
       with g_1 = t; g_j for j <= k is built at construction, larger j by

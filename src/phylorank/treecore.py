@@ -235,18 +235,31 @@ def census_of(tree: Tree, max_rank: int) -> RankCensus:
 def to_newick(tree: Tree) -> str:
     """Canonical Newick serialization, e.g. ``((1,2),3);`` — children in canonical order."""
     if tree._newick is None:
-        # Reverse preorder meets every vertex after its subtree, and leaves
-        # its first child's string on top of the stack.
-        stack: list[str] = []
-        for v in reversed(tree.vertices()):
-            if v.label is not None:
-                stack.append(str(v.label))
-            else:
-                d = len(v.children)
-                text = "(" + ",".join(stack[:-d - 1:-1]) + ")"
-                del stack[-d:]
-                stack.append(text)
-        tree._newick = stack[0] + ";"
+        # One preorder pass writes the tokens in order; ``left`` counts the
+        # children still to come of each open vertex.  Joining every ~4k
+        # tokens keeps the token list small next to the tree.
+        chunks: list[str] = []
+        tokens: list[str] = []
+        left: list[int] = []
+        for v in tree.vertices():
+            if v.label is None:
+                tokens.append("(")
+                left.append(len(v.children))
+                continue
+            tokens.append(str(v.label))
+            while left:
+                left[-1] -= 1
+                if left[-1]:
+                    tokens.append(",")
+                    break
+                left.pop()
+                tokens.append(")")
+            if len(tokens) >= 4096:
+                chunks.append("".join(tokens))
+                tokens.clear()
+        tokens.append(";")
+        chunks.append("".join(tokens))
+        tree._newick = "".join(chunks)
     return tree._newick
 
 

@@ -853,6 +853,29 @@ def test_packed_product_matches_the_quadratic_reference(monkeypatch, budget, zer
     assert exactcount._packed_product(nines, nines[:], 40) == _cauchy_product(nines, nines, 40)
 
 
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5, None])
+@pytest.mark.parametrize(
+    "u_digits, v_digits, uptos",
+    [(25, 25, range(12, 41)), (25, 26, range(12, 41)), (25, 26, range(101, 111))],
+    ids=["D_even", "product_D_odd", "square_D_odd"],
+)
+def test_packed_product_of_full_slots(monkeypatch, size, u_digits, v_digits, uptos):
+    # all nines: from n = 12 on, slot n sums enough terms to need all
+    # D = digits(upto) + digits(u) + digits(v) digits, so the 2h-digit
+    # windows are full for even D, and h below ceil(D/2) overflows for odd D
+    # (the product in the second case, the square in the third).  The budget
+    # cuts blocks of exactly ``size`` indices (the default: one block), and
+    # upto ends the last block at every offset, so the even and odd slots
+    # split at block edges of either parity.
+    for upto in uptos:
+        u, v = ([0] + [10**digits - 1] * upto for digits in (u_digits, v_digits))
+        for x, y in ((u, v), (u, u), (u, u[:])):
+            if size is not None:
+                h = (len(str(x[1])) + len(str(y[1])) + len(str(upto)) + 1) // 2
+                monkeypatch.setattr(exactcount, "PACK_DIGITS", h * (size + 1))
+            assert exactcount._packed_product(x, y, upto) == _cauchy_product(x, y, upto)
+
+
 @pytest.mark.parametrize("shift", [-1, 0, 1])
 def test_packed_product_matches_at_the_crossover(shift):
     rng = random.Random(shift)

@@ -10,7 +10,7 @@ import pytest
 from phylorank.bruteforce import enumerate_all
 from phylorank.errors import DomainError
 from phylorank.exactcount import CountTable, MAX_TABLE_BYTES, internal_vertices
-from phylorank.sampler import BYTES_PER_VERTEX, sample_batch, sample_rank_counts
+from phylorank.sampler import BYTES_PER_VERTEX, _blocks_in_order, sample_batch, sample_rank_counts
 from phylorank.treecore import census_of, rank_of, to_newick, validate
 
 FIGURE_ONE = {"((1,2),3);", "((1,3),2);", "((2,3),1);"}
@@ -168,6 +168,29 @@ def _partition_of(tree):
         if p is not tree.root and not unlabelled[id(p)]:
             heappush(ready, (key(p), id(p), p))
     return [[c.label if c.is_leaf else label[id(c)] for c in v.children] for v in inner[1:] + inner[:1]]
+
+
+def _blocks_by_the_rule(k, n, labels):
+    """The blocks of ``labels`` in parent order, by scanning every block
+    left for the ready one with the smallest least label: O(N^2)."""
+    left = [tuple(labels[i:i + k]) for i in range(0, len(labels), k)]
+    out = []
+    for label in range(n + 1, len(labels) + 2):
+        block = min((b for b in left if max(b) < label), key=min)
+        left.remove(block)
+        out.append(block)
+    return out
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_blocks_in_order_follow_the_rule(k):
+    rng = random.Random(f"blocks {k}")
+    for s in (0, 1, 2, 3, 4, 7, 30, 150):
+        for _ in range(5):
+            labels = list(range(1, k * s + 1))
+            rng.shuffle(labels)
+            n = (k - 1) * s + 1
+            assert list(_blocks_in_order(k, n, labels)) == _blocks_by_the_rule(k, n, labels)
 
 
 @pytest.mark.parametrize("k, n", [(2, 7), (3, 9), (4, 10)])

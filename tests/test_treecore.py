@@ -191,7 +191,20 @@ def test_deep_tree_is_safe():
     assert to_newick(t).count("(") == 599
 
 
-# ----- the cached preorder, the stack-built Newick and the canonical sort ---
+def test_newick_round_trip_of_a_deep_caterpillar():
+    # 100,001 leaves, each vertex one level deeper than the last
+    n = 100_001
+    text = "(" * (n - 1) + "1" + "".join(f",{x})" for x in range(2, n + 1)) + ";"
+    t = from_newick(text, 2)
+    assert t.n_leaves == n and t.root.rank == 1
+    assert to_newick(t) == text
+    v = leaf(1)
+    for x in range(2, n + 1):
+        v = internal([v, leaf(x)])
+    assert to_newick(Tree(v, 2)) == text
+
+
+# ----- the cached preorder, the one-pass Newick and the canonical sort -----
 
 
 def _preorder_reference(v):
