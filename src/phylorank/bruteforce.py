@@ -8,7 +8,8 @@ Enumeration scheme: a tree on more than one leaf is an unordered set of k
 subtrees whose leaf sets partition the labels.  Unordered partitions are
 produced without duplicates by always anchoring the smallest remaining label
 to the next block; blocks therefore come out sorted by their minimum label,
-which is exactly the canonical child order.
+which ``internal`` re-sorts into the canonical child order: more leaves
+first, ties broken by the least label.
 
 Within one enumeration the trees on each block are built once, kept, and
 shared by every tree that contains that block (vertices are immutable); the

@@ -31,7 +31,7 @@ from .render import decimal_str, exact, fraction_str
 from .sampler import sample_batch
 from .treecore import RankCensus, to_newick
 
-LARGE_TABLE_VERIFY_TO = 501  # bound for the quadratic cross-checks on huge tables
+LARGE_TABLE_VERIFY_TO = 501  # bound for the convolution cross-checks on huge tables
 # largest integer ``limits`` prints, in digits: rendering is quadratic in the
 # digit count (about 2 s for k=2, rank 18: 157,826 digits)
 LIMITS_MAX_DIGITS = 200_000
@@ -277,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_k(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--full-verify", action="store_true",
-                   help="run quadratic cross-checks at every n, however large")
+                   help="run convolution cross-checks at every n, however large")
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_count)
 
@@ -286,7 +286,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-rank", type=int, default=3)
     p.add_argument("--full-verify", action="store_true",
-                   help="run quadratic cross-checks at every n, however large")
+                   help="run convolution cross-checks at every n, however large")
     add_common(p)
     p.set_defaults(func=_cmd_census)
 

@@ -17,7 +17,9 @@ a count exactly; the class docstring says which identity checks which
 sequence, over which n, and how (from n = PACKED_FROM on, products by
 two-point Kronecker substitution into ``Decimal`` integers of at most
 PACK_DIGITS digits, which libmpdec multiplies by number-theoretic
-transform).  Any disagreement or inexact division raises
+transform; each term becomes text only when its block is packed, and each
+slot is read back by ``int()`` in chunks under CPython's digit limit).  Any
+disagreement, inexact division or term off its residue class raises
 :class:`ConsistencyError`.
 
 Notation used throughout: a tree on n leaves exists iff (n-1) is divisible by
@@ -174,17 +176,36 @@ def _cauchy_product(u: Sequence[int], v: Sequence[int], upto: int) -> list[int]:
 
 
 PACKED_FROM = 500
-"""Checks through n >= PACKED_FROM use ``_packed_product``, below it ``_cauchy_product``.  On a
-table's own factors the two are about equal at n = 300 for k = 2, where the packed one is 1.7
-times faster at n = 500; for k = 3 the quadratic one is faster through n = 1000 (1.4 times at
-500), so one threshold for every k lies between the two."""
+"""Checks through n >= PACKED_FROM use ``_packed_product``, below it ``_cauchy_product``, both
+on the factors' residue-class images.  On a table's own factors the two are about equal at
+n = 330 for k = 2 and at n = 500 for k = 3, where the packed one is 1.9 times faster at
+n = 1000, so one threshold for every k lies at the higher crossover."""
 
-PACK_DIGITS = 116_736
+PACK_DIGITS = 155_648
 """Most digits in one operand of a ``_packed_product`` multiplication.  Two such operands fill
-libmpdec's transform of 3 * 2^12 words, whose scratch costs about 3.4 bytes per operand digit:
-this budget, not the table's size, bounds that scratch."""
+libmpdec's transform of 2^14 words of 19 digits, whose scratch costs about 3.4 bytes per operand
+digit: this budget, not the table's size, bounds that scratch."""
 
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+_LOG10_2 = 0x4D104D427DE7FBCC47C4ACD414F737DA  # floor(log10(2) 2^128)
+_TEN_640 = 10**640
+
+
+def _digit_counts(seq: Sequence[int]) -> list[int]:
+    """The digits of each x in seq (1 for 0): 2^(b-1) <= x < 2^b, b = x.bit_length(), has e or
+    e + 1 digits for e those of 2^(b-1), and x >= 10^e decides which."""
+    tens: dict[int, int] = {}
+    es = [((max(x.bit_length(), 1) - 1) * _LOG10_2 >> 128) + 1 for x in seq]
+    return [e + (x >= (tens.get(e) or tens.setdefault(e, 10**e))) for e, x in zip(es, seq)]
+
+
+def _read_int(digits: str) -> int:
+    """int(digits) by ``int()`` on chunks of at most 640 digits, CPython's lowest digit limit."""
+    head = len(digits) % 640 or 640
+    value = int(digits[:head])
+    for i in range(head, len(digits), 640):
+        value = value * _TEN_640 + int(digits[i:i + 640])
+    return value
 
 
 def _packed_product(u: Sequence[int], v: Sequence[int], upto: int) -> list[int]:
@@ -197,21 +218,20 @@ def _packed_product(u: Sequence[int], v: Sequence[int], upto: int) -> list[int]:
     summing u(i) v(i') over i + i' = s + j in the 2h digits that end h j digits from its right.
     w(n) sums slot n - s of the two s that reach n.  A slot read sums fewer than upto terms, so
     it cannot overflow D = digits(upto) + digits(u(i)) + digits(v(i')) for the largest of them,
-    and h = ceil(D/2); carries run upward only.  Integers pass through ``Decimal``, never
-    ``str(int)``, which has a digit limit."""
-    du = [Decimal(x) for x in u[:upto + 1]]
-    dv = du if v is u else [Decimal(x) for x in v[:upto + 1]]
-    top = list(accumulate((x.adjusted() for x in dv), max))  # digits - 1 of max v(0..j)
+    and h = ceil(D/2); carries run upward only.  A term becomes text, through ``Decimal``
+    (``str(int)`` has a digit limit), only when its block is packed."""
+    nu = _digit_counts(u[:upto + 1])  # digits of u(i); top[j] those of max v(0..j)
+    top = list(accumulate(nu if v is u else _digit_counts(v[:upto + 1]), max))
 
     def half(a: int, b: int, size: int) -> int:  # h = ceil(D/2) of the blocks at a and b
         rows = range(a, min(a + size, upto + 1 - b))
-        terms = (du[i].adjusted() + top[min(b + size - 1, upto - i)] for i in rows)
-        return (max(terms, default=0) + len(str(upto)) + 3) // 2
+        terms = (nu[i] + top[min(b + size - 1, upto - i)] for i in rows)
+        return (max(terms, default=2) + len(str(upto)) + 1) // 2
 
-    def points(seq: list[Decimal], lo: int, hi: int, h: int) -> tuple[Decimal, Decimal]:
+    def points(seq: Sequence[int], lo: int, hi: int, h: int) -> tuple[Decimal, Decimal]:
         even, odd = (  # E and O of the block seq[lo:hi]
-            Decimal("".join(str(c).zfill(2 * h) for c in reversed(seq[i:hi:2])) + "0" * shift)
-            for i, shift in ((lo, 0), (lo + 1, h))
+            Decimal("".join(str(Decimal(c)).zfill(2 * h) for c in reversed(seq[i:hi:2])) + zeros)
+            for i, zeros in ((lo, ""), (lo + 1, "0" * h))
         )
         return _EXACT.add(even, odd), _EXACT.subtract(even, odd)
 
@@ -223,8 +243,8 @@ def _packed_product(u: Sequence[int], v: Sequence[int], upto: int) -> list[int]:
         h = max(half(a, b, size) for a, b in pairs)
         plus = minus = Decimal(0)
         for a, b in pairs:
-            x = points(du, a, min(a + size, upto + 1 - b), h)
-            y = x if v is u and a == b else points(dv, b, min(b + size, upto + 1 - a), h)
+            x = points(u, a, min(a + size, upto + 1 - b), h)
+            y = x if v is u and a == b else points(v, b, min(b + size, upto + 1 - a), h)
             if v is u and a != b:
                 y = tuple(_EXACT.add(c, c) for c in y)
             plus = _EXACT.fma(x[0], y[0], plus)
@@ -240,7 +260,7 @@ def _packed_product(u: Sequence[int], v: Sequence[int], upto: int) -> list[int]:
             for n in range(s + parity, min(upto, s + 2 * size - 2) + 1, 2):
                 end = len(digits) - (n - s) * h
                 if end > 0:
-                    out[n] += int(Decimal(digits[max(0, end - 2 * h):end]))
+                    out[n] += _read_int(digits[max(0, end - 2 * h):end])
             del digits
     return out
 
@@ -494,10 +514,11 @@ class CountTable:
     and keeps no array.  Each sequence is checked against an identity before
     it is stored, comparing reduced values at every n with no loss (``*`` is
     the labelled convolution; one comparer, ``_check_identity``, checks all
-    three convolution identities; through n >= PACKED_FROM = 500 it forms
-    ``*`` by ``_packed_product``, which evaluates blocks of each sequence at
-    x = 10^h and -10^h in operands of at most PACK_DIGITS digits, and below
-    by the quadratic ``_cauchy_product``):
+    three convolution identities; at k >= 3 it multiplies each factor's
+    residue class of n modulo k - 1 only, refusing a factor non-zero off it;
+    through n >= PACKED_FROM = 500 it forms ``*`` by ``_packed_product``, which
+    evaluates blocks of each sequence at x = 10^h and -10^h in operands of at
+    most PACK_DIGITS digits, and below by the quadratic ``_cauchy_product``):
 
     * forest tower ``g_j = g_{floor(j/2)} * g_{ceil(j/2)}`` for n <= verify_to,
       with g_1 = t; g_j for j <= k is built at construction, larger j by
@@ -569,20 +590,41 @@ class CountTable:
         what: str,
         name: str,
         closed: Sequence[int],
-        factors: Sequence[Sequence[int]],
+        factors: Sequence[tuple[str, Sequence[int]]],
         upto: int,
         scale: int = 1,
         plus: Sequence[int] | None = None,
     ) -> None:
         """Raise unless scale closed(n) = plus(n) + (f_1 * ... * f_r)(n) for
-        1 <= n <= upto.  ``closed`` is the closed form ``name``; it, the
+        1 <= n <= upto.  ``closed`` is the closed form ``name``; it, the named
         factors and ``plus`` (default 0) are reduced sequences, so the Cauchy
         product ``*`` is the labelled convolution of the counts.  A factor
-        repeated as the same list takes the squaring path."""
+        repeated as the same list takes the squaring path.  At k >= 3 each
+        product runs on the images [0] + f[lo::k-1] (y = x^(k-1)) of factors f
+        first non-zero at lo, and a factor non-zero off that class raises."""
+        step = self.k - 1
+
+        def image(fname: str, f: Sequence[int]) -> tuple[int, list[int]]:
+            lo = next((n for n in range(1, upto + 1) if f[n]), upto + 1)
+            off = next((n for n in range(lo, upto + 1) if f[n] and (n - lo) % step), 0)
+            if off:
+                raise ConsistencyError(
+                    f"{what} at n={off}: {fname}({off}) = {f[off]} lies off the residue "
+                    f"class of {fname}({lo}) modulo k-1 = {step}"
+                )
+            return lo, [0] + f[lo:upto + 1:step]
+
         product = _packed_product if upto >= PACKED_FROM else _cauchy_product
-        rhs = factors[0]
-        for factor in factors[1:]:
-            rhs = product(rhs, factor, upto)
+        rhs = factors[0][1]
+        for fname, factor in factors[1:]:
+            if step == 1:  # every n is on the class: no image, no copy
+                rhs = product(rhs, factor, upto)
+                continue
+            a, x = image(factors[0][0], rhs)
+            b, y = (a, x) if factor is rhs else image(fname, factor)
+            w = product(x, y, max(0, (upto - a - b) // step + 2))
+            rhs = [0] * (upto + 1)
+            rhs[a + b:upto + 1:step] = w[2:]  # w(j) is the term at n = a + b + step (j - 2)
         for n in range(1, upto + 1):
             left = scale * closed[n]
             right = rhs[n] + plus[n] if plus is not None else rhs[n]
@@ -608,7 +650,7 @@ class CountTable:
         verify_to; both halves must be built already."""
         closed = self._closed(f"g_{j}", j)
         if j > 1:
-            halves = (self._g[j // 2], self._g[j - j // 2])
+            halves = [(f"g_{h}", self._g[h]) for h in (j // 2, j - j // 2)]
             self._check_identity(
                 f"ordered {j}-forest count", f"g_{j}", closed, halves, self.verify_to
             )
@@ -626,7 +668,7 @@ class CountTable:
         """Closed r_i, checked against k! r_i = r_{i-1}^{*k} through verify_to."""
         closed = self._closed(f"r_{i}", self.k**i, self._kfac ** c_index(self.k, i))
         self._check_identity(
-            "root-rank count", f"r_{i}", closed, (self._r[i - 1],) * self.k,
+            "root-rank count", f"r_{i}", closed, ((f"r_{i - 1}", self._r[i - 1]),) * self.k,
             self.verify_to, scale=self._kfac,
         )
         return closed
@@ -637,7 +679,8 @@ class CountTable:
         divisor = self._kfac * power * self._kfac ** c_index(self.k, i)
         closed = self._closed(f"m_{i}", power, divisor, derivative=True)
         self._check_identity(
-            "rank-at-least count", f"m_{i}", closed, (closed, self._fkm1), self.n_max,
+            "rank-at-least count", f"m_{i}", closed,
+            ((f"m_{i}", closed), (f"f_{self.k - 1}", self._fkm1)), self.n_max,
             plus=self._get_r(i),
         )
         return closed

@@ -191,7 +191,7 @@ def validate(tree: Tree) -> str | None:
 
     Invariants: every vertex is a leaf or has exactly k children; leaf labels
     are exactly {1, ..., n} with each label appearing once; children of every
-    internal vertex are in canonical (min-label) order.
+    internal vertex are in canonical order (more leaves first, then least label).
     """
     k = tree.k
     labels = []

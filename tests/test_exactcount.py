@@ -1,6 +1,7 @@
 import random
 import sys
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 from functools import reduce
 from math import comb, factorial, gcd, prod
@@ -947,3 +948,134 @@ def test_packed_checks_fail_like_the_quadratic_ones(monkeypatch, k, seq, at):
     packed_calls.clear()
     assert failure() == message
     assert not packed_calls
+
+
+# The kernel's digit counts, slot reads and operand sizes.  Each coefficient's
+# digit count comes from its bit length and one comparison with a power of ten,
+# and each slot is read back by int() on chunks of at most 640 digits.
+
+
+def test_digit_counts_at_powers_of_ten():
+    rng = random.Random(5000)
+    ds = list(range(1, 101)) + sorted(rng.sample(range(101, 5001), 200)) + [5000]
+    values = [x for d in ds for x in (10**d - 1, 10**d)]
+    assert exactcount._digit_counts(values) == [c for d in ds for c in (d, d + 1)]
+    assert exactcount._digit_counts([0, 1, 9, 10, 2**64, 2**64 - 1]) == [1, 1, 1, 2, 20, 20]
+
+
+def test_slots_are_read_under_the_lowest_digit_limit():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no int/str digit limit in this Python")
+    rng = random.Random(640)
+    texts = ["".join(rng.choice("0123456789") for _ in range(n)) for n in (640, 641, 1280, 1281)]
+    texts += ["0" * 641, "0" * 700 + "9" * 581]
+    # all nines in slots of 2h = 640 and 1280 digits: D = 2 + 319 + 319 and 2 + 639 + 639
+    products = [([0] + [10**d - 1] * 20, 20) for d in (319, 639)]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(ValueError):
+            int("1" * 641)
+        for text in texts:
+            assert exactcount._read_int(text) == int(Decimal(text))
+        for u, upto in products:
+            assert exactcount._packed_product(u, u, upto) == _cauchy_product(u, u, upto)
+            assert exactcount._packed_product(u, u[:], upto) == _cauchy_product(u, u, upto)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+class _MultiplicationSpy:
+    """Stands in for ``exactcount._EXACT``, keeping the digits of each pair
+    of operands that ``fma`` multiplies."""
+
+    def __init__(self, context):
+        self.context = context
+        self.operands = []
+
+    def fma(self, x, y, z):
+        self.operands.append((x.adjusted() + 1, y.adjusted() + 1))
+        return self.context.fma(x, y, z)
+
+    def __getattr__(self, name):
+        return getattr(self.context, name)
+
+
+@pytest.mark.parametrize("n, pairs", [(701, 1), (1001, 3)], ids=["one_block", "two_blocks"])
+def test_packed_product_of_the_table_factors_in_one_and_two_blocks(monkeypatch, n, pairs):
+    # the factors of g_2 = r_1 (a square), m_1, r_2 and m_2; the non-square
+    # m_1 * f_1 takes one block pair at n = 701 and three at n = 1001
+    table = CountTable(2, n)
+    factors = [
+        [table._t] * 2, [table._get_m(1), table._fkm1],
+        [table._get_r(1)] * 2, [table._get_m(2), table._fkm1],
+    ]
+    for u, v in factors:
+        spy = _MultiplicationSpy(exactcount._EXACT)
+        monkeypatch.setattr(exactcount, "_EXACT", spy)
+        assert exactcount._packed_product(u, v, n) == _cauchy_product(u, v, n)
+        monkeypatch.undo()
+        if u is table._get_m(1):
+            assert len(spy.operands) == 2 * pairs
+
+
+@pytest.mark.parametrize("n", [701, 1001, 2001])
+def test_no_operand_exceeds_the_budget(monkeypatch, request, n):
+    table = request.getfixturevalue("big_table_k2") if n == 2001 else CountTable(2, n)
+    spy = _MultiplicationSpy(exactcount._EXACT)
+    monkeypatch.setattr(exactcount, "_EXACT", spy)
+    exactcount._packed_product(table._get_m(1), table._fkm1, n)
+    if n < 2001:
+        exactcount._packed_product(table._t, table._t, n)
+    assert spy.operands
+    assert max(max(pair) for pair in spy.operands) <= exactcount.PACK_DIGITS
+
+
+# At k >= 3 each check maps its factors onto their residue class of n modulo
+# k - 1 before multiplying; a factor non-zero off its class is refused.
+
+
+@pytest.mark.parametrize("route", ["packed", "quadratic"])
+@pytest.mark.parametrize("at", ["half", "n_max"])
+def test_a_factor_off_its_residue_class_is_refused(monkeypatch, route, at):
+    n_max = exactcount.PACKED_FROM + 3
+    n = n_max // 2 if at == "half" else n_max
+    spied = "_packed_product" if route == "packed" else "_cauchy_product"
+    product, calls = getattr(exactcount, spied), []
+    monkeypatch.setattr(exactcount, spied, lambda *args: calls.append(args) or product(*args))
+    if route == "quadratic":
+        monkeypatch.setattr(exactcount, "PACKED_FROM", n_max + 1)
+    table = CountTable(3, n_max)  # f_2 is non-zero at even n only; g_2 took the route
+    assert calls and table._fkm1[n] == 0 and n % 2
+    table._fkm1[n] = 1
+    with pytest.raises(
+        ConsistencyError, match=rf"^rank-at-least count at n={n}: f_2\({n}\) = 1 lies off"
+    ):
+        table.rank_ge_count(1, n_max)
+
+
+@pytest.mark.parametrize("k", [4, 5])
+@pytest.mark.parametrize("route", ["packed", "quadratic"])
+def test_residue_class_images_pass_every_identity(monkeypatch, k, route):
+    # r_2 is a k-fold product; g_5 = g_2 * g_3 multiplies two classes
+    n = exactcount.PACKED_FROM + 3
+    if route == "quadratic":
+        monkeypatch.setattr(exactcount, "PACKED_FROM", n + 1)
+    table = CountTable(k, n)
+    for i in (1, 2):
+        table.root_rank_count(i, n)
+        table.rank_ge_count(i, n)
+    table.forest_count(5, n)
+
+
+def test_k2_products_run_on_the_stored_lists(monkeypatch):
+    calls = []
+    product = exactcount._cauchy_product
+    monkeypatch.setattr(
+        exactcount, "_cauchy_product", lambda u, v, upto: calls.append((u, v)) or product(u, v, upto)
+    )
+    table = CountTable(2, 30)
+    table.rank_ge_count(1, 30)
+    *squares, (m_1, f_1) = calls  # g_2 and r_1, then m_1
+    assert len(squares) == 2 and all(u is v is table._t for u, v in squares)
+    assert m_1 is table._get_m(1) and f_1 is table._fkm1
