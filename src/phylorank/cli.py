@@ -31,7 +31,6 @@ from .render import decimal_str, exact, fraction_str
 from .sampler import sample_batch
 from .treecore import RankCensus, to_newick
 
-LARGE_TABLE_VERIFY_TO = 501  # bound for the convolution cross-checks on huge tables
 # largest integer ``limits`` prints, in digits: rendering is quadratic in the
 # digit count (about 2 s for k=2, rank 18: 157,826 digits)
 LIMITS_MAX_DIGITS = 200_000
@@ -68,23 +67,16 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}")
 
 
-def _make_table(k: int, n_max: int, full_verify: bool) -> CountTable:
-    verify_to = None if full_verify else min(n_max, LARGE_TABLE_VERIFY_TO)
-    return CountTable(k, n_max, verify_to=verify_to)
-
-
 # ------------------------------------------------------------------ commands
 
 
 def _cmd_count(args) -> int:
-    table = _make_table(args.k, args.n, args.full_verify)
-    _emit(str(table.tree_count(args.n)) + "\n", args.output)
+    _emit(str(CountTable(args.k, args.n).tree_count(args.n)) + "\n", args.output)
     return 0
 
 
 def _cmd_census(args) -> int:
-    table = _make_table(args.k, args.n, args.full_verify)
-    census = table.rank_census(args.n, args.max_rank)
+    census = CountTable(args.k, args.n).rank_census(args.n, args.max_rank)
     head = {"k": args.k, "n": args.n, "max_rank": args.max_rank,
             "total": str(census.total), "tail": str(census.tail)}
     rows = [
@@ -151,10 +143,7 @@ def _cmd_convergence(args) -> int:
     grid, powers = args.n_grid, args.negligibility
     if not grid:
         raise DomainError("--n-grid must list at least one n")
-    table = _make_table(args.k, max(grid), args.full_verify)
-    report = stats.convergence_table(
-        args.k, args.i, grid, table=table, negligibility_powers=powers
-    )
+    report = stats.convergence_table(args.k, args.i, grid, negligibility_powers=powers)
     # the JSON gives the gap exactly and the negligibility ratios as a map;
     # the TSV repeats the limit on each row and gives decimals only
     head = {"k": report.k, "i": report.i, **exact("limit", report.limit)}
@@ -276,8 +265,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="number of trees on {1..n}")
     add_k(p)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--full-verify", action="store_true",
-                   help="run convolution cross-checks at every n, however large")
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_count)
 
@@ -285,8 +272,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_k(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-rank", type=int, default=3)
-    p.add_argument("--full-verify", action="store_true",
-                   help="run convolution cross-checks at every n, however large")
     add_common(p)
     p.set_defaults(func=_cmd_census)
 
@@ -320,7 +305,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated admissible n values")
     p.add_argument("--negligibility", type=_int_list, default="",
                    help="comma-separated series powers to tabulate as vanishing ratios")
-    p.add_argument("--full-verify", action="store_true")
     add_common(p)
     p.set_defaults(func=_cmd_convergence)
 

@@ -12,13 +12,13 @@ Each counting sequence is computed along two independent routes:
 
 A :class:`CountTable` stores every sequence u reduced, as u(n) k!^n / n!,
 where labelled convolution is the plain Cauchy product.  It checks each
-sequence against its identity before storing it and lifts each query back to
-a count exactly; the class docstring says which identity checks which
-sequence, over which n, and how (from n = PACKED_FROM on, products by
-two-point Kronecker substitution into ``Decimal`` integers of at most
-PACK_DIGITS digits, which libmpdec multiplies by number-theoretic
-transform; each term becomes text only when its block is packed, and each
-slot is read back by ``int()`` in chunks under CPython's digit limit).  Any
+sequence against its identity at every n before storing it and lifts each
+query back to a count exactly; the class docstring says which identity checks
+which sequence, and how (products of PACKED_FROM terms and more by two-point
+Kronecker substitution into ``Decimal`` integers, in blocks sized from the
+product, which libmpdec multiplies by number-theoretic transform; each term
+becomes text only when its block is packed, and each slot is read back by
+``int()`` in chunks under CPython's digit limit).  Any
 disagreement, inexact division or term off its residue class raises
 :class:`ConsistencyError`.
 
@@ -175,16 +175,23 @@ def _cauchy_product(u: Sequence[int], v: Sequence[int], upto: int) -> list[int]:
     return out
 
 
-PACKED_FROM = 500
-"""Checks through n >= PACKED_FROM use ``_packed_product``, below it ``_cauchy_product``, both
-on the factors' residue-class images.  On a table's own factors the two are about equal at
-n = 330 for k = 2 and at n = 500 for k = 3, where the packed one is 1.9 times faster at
-n = 1000, so one threshold for every k lies at the higher crossover."""
+PACKED_FROM = 300
+"""Products of PACKED_FROM terms and more use ``_packed_product``, shorter ones
+``_cauchy_product``; at k >= 3 a product's length is that of its factors' residue-class images,
+about n / (k - 1).  On a table's own factors the two are about equal at 250 to 300 terms for
+k = 2 and for k = 3, and the packed one is 1.3 to 1.4 times faster at 350 terms."""
 
 PACK_DIGITS = 155_648
-"""Most digits in one operand of a ``_packed_product`` multiplication.  Two such operands fill
-libmpdec's transform of 2^14 words of 19 digits, whose scratch costs about 3.4 bytes per operand
-digit: this budget, not the table's size, bounds that scratch."""
+"""Fewest digits in an operand budget of ``_packed_product``: two such operands fill libmpdec's
+transform of 2^14 words of 19 digits, whose scratch costs about 3.4 bytes per operand digit."""
+
+PACK_SHARE = 4
+"""A product's operand budget is the least PACK_DIGITS 2^j, j >= 0, that holds 1/PACK_SHARE of
+its one-shot operand (upto + 1) h, so two operands still fill one power-of-two transform and each
+factor splits into about PACK_SHARE blocks at most.  A product with (upto + 1) h up to
+PACK_SHARE PACK_DIGITS keeps PACK_DIGITS: at k = 2, every product through n of about 1,435.
+A half was faster but peaked at 210 MB on ``CountTable(2, 10001)``, against 141 MB; an eighth
+made ``rank_census(5001, 2)`` 1.6 times slower."""
 
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 _LOG10_2 = 0x4D104D427DE7FBCC47C4ACD414F737DA  # floor(log10(2) 2^128)
@@ -235,8 +242,10 @@ def _packed_product(u: Sequence[int], v: Sequence[int], upto: int) -> list[int]:
         )
         return _EXACT.add(even, odd), _EXACT.subtract(even, odd)
 
-    # a block's evaluations have at most h (size + 1) digits
-    size = max(1, PACK_DIGITS // half(1, 1, upto) - 1)
+    # a block's evaluations have at most h (size + 1) digits, within the budget
+    h = half(1, 1, upto)
+    budget = PACK_DIGITS << (((upto + 1) * h - 1) // (PACK_SHARE * PACK_DIGITS)).bit_length()
+    size = max(1, budget // h - 1)
     out = [0] * (upto + 1)
     for s in range(2, upto + 1, size):
         pairs = [(a, s - a) for a in range(1, s, size) if v is not u or 2 * a <= s]
@@ -469,7 +478,9 @@ MAX_TABLE_BYTES = 1 << 28
 """Largest storage, in bytes (256 MiB), that a :class:`CountTable` may need
 by :func:`_table_bytes`.  The tests' largest table, ``CountTable(2, 2001)``,
 is estimated at about 8 MB; k = 2 is refused from n = 10,361 on.  A
-larger table raises :class:`DomainError` before anything is allocated."""
+larger table raises :class:`DomainError` before anything is allocated.  The
+checks' scratch is inside the bound: ``count --k 2 --n 10360``, the largest
+k = 2 table admitted, peaks at 147 MB of resident memory, checks included."""
 
 
 def _table_bytes(k: int, n_max: int) -> int:
@@ -511,39 +522,33 @@ class CountTable:
     G_p(p) = k!^p by its exact term ratio, small integers only.  One builder,
     ``_closed``, forms each of g_j, r_i and m_i from one G_p array (through
     n_max + 1 for m_i, whose reduced form is (n+1) G_p(n+1) / (k! p k!^(c_i)))
-    and keeps no array.  Each sequence is checked against an identity before
-    it is stored, comparing reduced values at every n with no loss (``*`` is
-    the labelled convolution; one comparer, ``_check_identity``, checks all
-    three convolution identities; at k >= 3 it multiplies each factor's
-    residue class of n modulo k - 1 only, refusing a factor non-zero off it;
-    through n >= PACKED_FROM = 500 it forms ``*`` by ``_packed_product``, which
-    evaluates blocks of each sequence at x = 10^h and -10^h in operands of at
-    most PACK_DIGITS digits, and below by the quadratic ``_cauchy_product``):
+    and keeps no array.  Each sequence is checked against an identity at
+    every n <= n_max before it is stored, comparing reduced values with no
+    loss (``*`` is the labelled convolution; one comparer,
+    ``_check_identity``, checks all three convolution identities; at k >= 3
+    it multiplies each factor's residue class of n modulo k - 1 only,
+    refusing a factor non-zero off it; it forms ``*`` of PACKED_FROM terms
+    and more by ``_packed_product``, which evaluates blocks of each sequence
+    at x = 10^h and -10^h in operands sized from the product, and shorter
+    ones by the quadratic ``_cauchy_product``):
 
-    * forest tower ``g_j = g_{floor(j/2)} * g_{ceil(j/2)}`` for n <= verify_to,
-      with g_1 = t; g_j for j <= k is built at construction, larger j by
+    * forest tower ``g_j = g_{floor(j/2)} * g_{ceil(j/2)}``, with g_1 = t;
+      g_j for j <= k is built at construction, larger j by
       ``forest_count``, which builds only the O(log j) halves below it;
-    * composition totals ``g_k = k! t`` at every n <= n_max;
-    * root ranks ``k! r_i = r_{i-1}^{*k}`` for n <= verify_to, with r_0 = t;
-    * rank-at-least ``m_i = r_i + m_i * f_{k-1}`` at every n <= n_max.
+    * composition totals ``g_k = k! t``;
+    * root ranks ``k! r_i = r_{i-1}^{*k}``, with r_0 = t;
+    * rank-at-least ``m_i = r_i + m_i * f_{k-1}``.
 
     Every query lifts its stored value back to a count, times n! / k!^n,
     dividing exactly; a value that does not lift is reported as a
-    :class:`ConsistencyError` naming the sequence and the n.
-
-    ``verify_to`` (default n_max) only bounds the checks of g and r; every
-    stored value is the closed form at every n.  r and m are
+    :class:`ConsistencyError` naming the sequence and the n.  r and m are
     filled on first use, so a table is not for concurrent use.
     """
 
-    def __init__(self, k: int, n_max: int, verify_to: int | None = None):
+    def __init__(self, k: int, n_max: int):
         require_table_size(k, n_max)
-        if verify_to is None:
-            verify_to = n_max
-        require_int(verify_to, "verify_to", 1)
         self.k = k
         self.n_max = n_max
-        self.verify_to = min(verify_to, n_max)
         self._kfac = factorial(k)
 
         # reduced ordered j-forest counts G_j, j = 1..k now, larger j on
@@ -591,18 +596,17 @@ class CountTable:
         name: str,
         closed: Sequence[int],
         factors: Sequence[tuple[str, Sequence[int]]],
-        upto: int,
         scale: int = 1,
         plus: Sequence[int] | None = None,
     ) -> None:
         """Raise unless scale closed(n) = plus(n) + (f_1 * ... * f_r)(n) for
-        1 <= n <= upto.  ``closed`` is the closed form ``name``; it, the named
+        1 <= n <= n_max.  ``closed`` is the closed form ``name``; it, the named
         factors and ``plus`` (default 0) are reduced sequences, so the Cauchy
         product ``*`` is the labelled convolution of the counts.  A factor
         repeated as the same list takes the squaring path.  At k >= 3 each
         product runs on the images [0] + f[lo::k-1] (y = x^(k-1)) of factors f
         first non-zero at lo, and a factor non-zero off that class raises."""
-        step = self.k - 1
+        step, upto = self.k - 1, self.n_max
 
         def image(fname: str, f: Sequence[int]) -> tuple[int, list[int]]:
             lo = next((n for n in range(1, upto + 1) if f[n]), upto + 1)
@@ -614,7 +618,9 @@ class CountTable:
                 )
             return lo, [0] + f[lo:upto + 1:step]
 
-        product = _packed_product if upto >= PACKED_FROM else _cauchy_product
+        def product(x: Sequence[int], y: Sequence[int], length: int) -> list[int]:
+            return (_packed_product if length >= PACKED_FROM else _cauchy_product)(x, y, length)
+
         rhs = factors[0][1]
         for fname, factor in factors[1:]:
             if step == 1:  # every n is on the class: no image, no copy
@@ -635,8 +641,8 @@ class CountTable:
                 )
 
     def _verify_composition_totals(self) -> None:
-        """g_k(n) = k! * t(n) at every 2 <= n <= n_max, whatever ``verify_to`` is:
-        the k root subtrees of a tree, put in order, are one ordered k-forest."""
+        """g_k(n) = k! * t(n) at every 2 <= n <= n_max: the k root subtrees of
+        a tree, put in order, are one ordered k-forest."""
         g_k = self._g[self.k]
         for n in range(2, self.n_max + 1):
             if g_k[n] != self._kfac * self._t[n]:
@@ -646,14 +652,12 @@ class CountTable:
                 )
 
     def _build_g(self, j: int) -> list[int]:
-        """Closed g_j, checked against g_{floor(j/2)} * g_{ceil(j/2)} through
-        verify_to; both halves must be built already."""
+        """Closed g_j, checked against g_{floor(j/2)} * g_{ceil(j/2)}; both
+        halves must be built already."""
         closed = self._closed(f"g_{j}", j)
         if j > 1:
             halves = [(f"g_{h}", self._g[h]) for h in (j // 2, j - j // 2)]
-            self._check_identity(
-                f"ordered {j}-forest count", f"g_{j}", closed, halves, self.verify_to
-            )
+            self._check_identity(f"ordered {j}-forest count", f"g_{j}", closed, halves)
         return closed
 
     def _forest_tower(self, j: int) -> list[int]:
@@ -665,23 +669,22 @@ class CountTable:
         return self._g[j]
 
     def _build_r(self, i: int) -> list[int]:
-        """Closed r_i, checked against k! r_i = r_{i-1}^{*k} through verify_to."""
+        """Closed r_i, checked against k! r_i = r_{i-1}^{*k}."""
         closed = self._closed(f"r_{i}", self.k**i, self._kfac ** c_index(self.k, i))
         self._check_identity(
             "root-rank count", f"r_{i}", closed, ((f"r_{i - 1}", self._r[i - 1]),) * self.k,
-            self.verify_to, scale=self._kfac,
+            scale=self._kfac,
         )
         return closed
 
     def _build_m(self, i: int) -> list[int]:
-        """Closed m_i, checked against m_i = r_i + m_i * f_{k-1} at every n."""
+        """Closed m_i, checked against m_i = r_i + m_i * f_{k-1}."""
         power = self.k**i + 1
         divisor = self._kfac * power * self._kfac ** c_index(self.k, i)
         closed = self._closed(f"m_{i}", power, divisor, derivative=True)
         self._check_identity(
             "rank-at-least count", f"m_{i}", closed,
-            ((f"m_{i}", closed), (f"f_{self.k - 1}", self._fkm1)), self.n_max,
-            plus=self._get_r(i),
+            ((f"m_{i}", closed), (f"f_{self.k - 1}", self._fkm1)), plus=self._get_r(i),
         )
         return closed
 

@@ -333,12 +333,23 @@ def test_oversized_tree_refused(capsys):
     assert "MiB" in err
 
 
-@pytest.mark.parametrize("command", ["sample", "estimate"])
-def test_sampling_commands_have_no_full_verify(command):
-    count = "--count" if command == "sample" else "--samples"
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--n", "5"],
+        ["census", "--n", "5"],
+        ["convergence", "--i", "1", "--n-grid", "5"],
+        ["sample", "--n", "5", "--count", "1"],
+        ["estimate", "--n", "5", "--samples", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_sampling_commands_have_no_full_verify(argv):
+    # every table checks every identity at every n: there is no flag to ask for it
     with pytest.raises(SystemExit) as err:
-        main([command, "--k", "2", "--n", "5", count, "1", "--full-verify"])
+        main([*argv, "--k", "2", "--full-verify"])
     assert err.value.code == 2
+    assert main([*argv, "--k", "2", "--output", os.devnull]) == 0  # the rest is valid
 
 
 def test_output_file(capsys, tmp_path):

@@ -4,6 +4,7 @@ import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from functools import reduce
+from itertools import accumulate
 from math import comb, factorial, gcd, prod
 
 import pytest
@@ -231,25 +232,6 @@ def test_brute_force_equivalence_small():
             census = table.rank_census(n, 3)
             if census.exact:
                 assert census.exact == brute.exact
-
-
-def test_verify_to_does_not_change_values():
-    for k in (2, 3):
-        full = CountTable(k, 40)
-        partial = CountTable(k, 40, verify_to=10)
-        for n in range(1, 41):
-            assert full.tree_count(n) == partial.tree_count(n)
-            for j in range(1, k + 3):
-                assert full.forest_count(j, n) == partial.forest_count(j, n)
-            for i in range(4):
-                assert full.root_rank_count(i, n) == partial.root_rank_count(i, n)
-                assert full.rank_ge_count(i, n) == partial.rank_ge_count(i, n)
-
-
-@pytest.mark.parametrize("verify_to", [2.5, "3", True, False, 0, -1])
-def test_verify_to_must_be_a_positive_integer(verify_to):
-    with pytest.raises(DomainError, match="verify_to"):
-        CountTable(2, 10, verify_to=verify_to)
 
 
 @pytest.mark.parametrize(
@@ -531,11 +513,11 @@ def _corrupt(monkeypatch, seq, n, delta=1):
 
 
 def test_composition_total_tripwire(monkeypatch):
-    # g_k must equal k! * t at every n, also above verify_to: a table whose
-    # closed g_k is corrupt there refuses to build
-    _corrupt(monkeypatch, "g_2", 6)
-    with pytest.raises(ConsistencyError, match="n=6"):
-        CountTable(2, 12, verify_to=3)
+    # g_k must equal k! * t at every n: a corrupt closed t = g_1 at n_max
+    # escapes the tower check g_2 = t * t, which reads t below n_max only
+    _corrupt(monkeypatch, "g_1", 12)
+    with pytest.raises(ConsistencyError, match=r"^reduced ordered 2-forest count at n=12 "):
+        CountTable(2, 12)
 
 
 def test_forest_tower_check_fires_on_corruption(monkeypatch):
@@ -567,16 +549,14 @@ def test_root_rank_check_fires_on_corruption(monkeypatch):
 # n_max: the identity that checks that sequence must name it and the n.
 
 
-def _check_fires_at_both_ends(
-    monkeypatch, k, seq, idx, n_first, at_end, n_max, what, verify_to=None
-):
+def _check_fires_at_both_ends(monkeypatch, k, seq, idx, n_first, at_end, n_max, what):
     n = n_max if at_end else n_first
     clean = CountTable(k, n_max)
     query = getattr(clean, _QUERY[seq])
     assert query(idx, n) and not any(query(idx, m) for m in range(1, n_first))
     _corrupt(monkeypatch, f"{seq}_{idx}", n)
     with pytest.raises(ConsistencyError, match=rf"{what} at n={n}: .*{seq}_{idx}\({n}\)"):
-        getattr(CountTable(k, n_max, verify_to), _QUERY[seq])(idx, n_max)
+        getattr(CountTable(k, n_max), _QUERY[seq])(idx, n_max)
 
 
 @pytest.mark.parametrize("k,j,n_first", [(3, 2, 2), (2, 3, 3)])
@@ -596,11 +576,8 @@ def test_root_rank_check_covers_both_ends(monkeypatch, k, i, n_first, at_end):
 @pytest.mark.parametrize("k,i,n_first", [(2, 0, 1), (2, 1, 2), (2, 2, 4), (3, 1, 3)])
 @pytest.mark.parametrize("at_end", [False, True], ids=["first_nonzero", "n_max"])
 def test_rank_ge_check_covers_both_ends(monkeypatch, k, i, n_first, at_end):
-    # the stored m_i is the closed form itself, so only this check guards it;
-    # verify_to does not shorten it
-    _check_fires_at_both_ends(
-        monkeypatch, k, "m", i, n_first, at_end, 13, "rank-at-least count", verify_to=1
-    )
+    # the stored m_i is the closed form itself, so only this check guards it
+    _check_fires_at_both_ends(monkeypatch, k, "m", i, n_first, at_end, 13, "rank-at-least count")
 
 
 def test_forest_count_builds_the_tower_by_halving(monkeypatch):
@@ -822,9 +799,13 @@ def test_table_forms_no_binomial_per_n(monkeypatch):
     assert len(calls) <= 2
 
 
-# The packed product against the quadratic reference.  Checks through
-# n >= PACKED_FROM form their products by Kronecker substitution in blocks of
-# at most PACK_DIGITS digits; _cauchy_product stays the independent route.
+# The packed product against the quadratic reference.  Products of
+# PACKED_FROM terms and more are formed by Kronecker substitution in blocks
+# sized from the product; _cauchy_product stays the independent route.  A
+# share of 1/NO_GROWTH never grows an operand budget past PACK_DIGITS, so a
+# test that sets PACK_DIGITS sets the block size.
+
+NO_GROWTH = 10**9
 
 
 def _random_sequence(rng, length, digits, zeros=0.0):
@@ -841,6 +822,7 @@ def test_packed_product_matches_the_quadratic_reference(monkeypatch, budget, zer
     # just after each block boundary; a tiny budget cuts many blocks
     if budget is not None:
         monkeypatch.setattr(exactcount, "PACK_DIGITS", budget)
+        monkeypatch.setattr(exactcount, "PACK_SHARE", NO_GROWTH)
     rng = random.Random(f"packed {budget} {zeros}")
     for upto in range(41):
         u = _random_sequence(rng, upto + 3, 25, zeros)
@@ -874,6 +856,7 @@ def test_packed_product_of_full_slots(monkeypatch, size, u_digits, v_digits, upt
             if size is not None:
                 h = (len(str(x[1])) + len(str(y[1])) + len(str(upto)) + 1) // 2
                 monkeypatch.setattr(exactcount, "PACK_DIGITS", h * (size + 1))
+                monkeypatch.setattr(exactcount, "PACK_SHARE", NO_GROWTH)
             assert exactcount._packed_product(x, y, upto) == _cauchy_product(x, y, upto)
 
 
@@ -925,9 +908,10 @@ def test_packed_product_of_the_table_sequences(k):
 )
 @pytest.mark.parametrize("at", ["half", "n_max"])
 def test_packed_checks_fail_like_the_quadratic_ones(monkeypatch, k, seq, at):
-    # n_max = 503 puts every check on the packed route; the same fault must
-    # fail it at the same n, with the same message, as on the quadratic route
-    n_max = exactcount.PACKED_FROM + 3
+    # n_max puts every check on the packed route, its images' lengths at least
+    # PACKED_FROM; the same fault must fail it at the same n, with the same
+    # message, as on the quadratic route
+    n_max = (k - 1) * exactcount.PACKED_FROM + 3
     n = n_max // 2 if at == "half" else n_max
     _corrupt(monkeypatch, seq, n)
     packed_calls = []
@@ -1021,14 +1005,27 @@ def test_packed_product_of_the_table_factors_in_one_and_two_blocks(monkeypatch, 
 
 @pytest.mark.parametrize("n", [701, 1001, 2001])
 def test_no_operand_exceeds_the_budget(monkeypatch, request, n):
+    # the benchmark's tables, n = 701 and 1001, keep the budget PACK_DIGITS; at
+    # n = 2001 it is the least PACK_DIGITS 2^j that holds 1/PACK_SHARE of the
+    # one-shot operand (n + 1) h, so below twice that share
     table = request.getfixturevalue("big_table_k2") if n == 2001 else CountTable(2, n)
-    spy = _MultiplicationSpy(exactcount._EXACT)
-    monkeypatch.setattr(exactcount, "_EXACT", spy)
-    exactcount._packed_product(table._get_m(1), table._fkm1, n)
+    products = [(table._get_m(1), table._fkm1)]
     if n < 2001:
-        exactcount._packed_product(table._t, table._t, n)
-    assert spy.operands
-    assert max(max(pair) for pair in spy.operands) <= exactcount.PACK_DIGITS
+        products.append((table._t, table._t))
+    for u, v in products:
+        spy = _MultiplicationSpy(exactcount._EXACT)
+        monkeypatch.setattr(exactcount, "_EXACT", spy)
+        exactcount._packed_product(u, v, n)
+        monkeypatch.undo()
+        biggest = max(max(pair) for pair in spy.operands)
+        if n < 2001:
+            assert biggest <= exactcount.PACK_DIGITS
+            continue
+        # the kernel's h: half the digits of the largest slot, u(i) v(i') over i + i' <= n
+        nu, nv = (exactcount._digit_counts(f[:n + 1]) for f in (u, v))
+        top = list(accumulate(nv, max))
+        h = (max(nu[i] + top[n - i] for i in range(1, n)) + len(str(n)) + 1) // 2
+        assert exactcount.PACK_DIGITS < biggest <= 2 * (n + 1) * h // exactcount.PACK_SHARE
 
 
 # At k >= 3 each check maps its factors onto their residue class of n modulo
@@ -1038,7 +1035,7 @@ def test_no_operand_exceeds_the_budget(monkeypatch, request, n):
 @pytest.mark.parametrize("route", ["packed", "quadratic"])
 @pytest.mark.parametrize("at", ["half", "n_max"])
 def test_a_factor_off_its_residue_class_is_refused(monkeypatch, route, at):
-    n_max = exactcount.PACKED_FROM + 3
+    n_max = 2 * exactcount.PACKED_FROM + 3  # k = 3: every image at least PACKED_FROM long
     n = n_max // 2 if at == "half" else n_max
     spied = "_packed_product" if route == "packed" else "_cauchy_product"
     product, calls = getattr(exactcount, spied), []
@@ -1057,10 +1054,10 @@ def test_a_factor_off_its_residue_class_is_refused(monkeypatch, route, at):
 @pytest.mark.parametrize("k", [4, 5])
 @pytest.mark.parametrize("route", ["packed", "quadratic"])
 def test_residue_class_images_pass_every_identity(monkeypatch, k, route):
-    # r_2 is a k-fold product; g_5 = g_2 * g_3 multiplies two classes
-    n = exactcount.PACKED_FROM + 3
-    if route == "quadratic":
-        monkeypatch.setattr(exactcount, "PACKED_FROM", n + 1)
+    # r_2 is a k-fold product; g_5 = g_2 * g_3 multiplies two classes.  The
+    # threshold picks the route: every image here is shorter than PACKED_FROM
+    n = 503
+    monkeypatch.setattr(exactcount, "PACKED_FROM", 0 if route == "packed" else n + 1)
     table = CountTable(k, n)
     for i in (1, 2):
         table.root_rank_count(i, n)
