@@ -31,9 +31,16 @@ from .render import decimal_str, exact, fraction_str
 from .sampler import sample_batch
 from .treecore import RankCensus, to_newick
 
-# largest integer ``limits`` prints, in digits: rendering is quadratic in the
-# digit count (about 2 s for k=2, rank 18: 157,826 digits)
+# largest integer an exact limit prints, in digits: rendering is quadratic in
+# the digit count (about 2 s for k=2, rank 18: 157,826 digits)
 LIMITS_MAX_DIGITS = 200_000
+
+
+def _require_printable_limit(k: int, i: int) -> None:
+    """Refuse an i whose k**c_i, of c_i*log10(k) digits, tops LIMITS_MAX_DIGITS;
+    c_i >= k**(i-1), so a large i is refused before k**i is formed."""
+    if k >= 2 and i >= 1 and ((i - 1) * log10(k) > 20 or c_index(k, i) * log10(k) > LIMITS_MAX_DIGITS):
+        raise DomainError(f"k**c_{i} at k={k} would print more than {LIMITS_MAX_DIGITS} digits")
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -88,11 +95,7 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_limits(args) -> int:
-    k, i = args.k, args.max_rank + 1
-    # the largest printed integer, k**c_i, has c_i*log10(k) digits; c_i >=
-    # k**(i-1), so a large rank is refused before k**i is formed
-    if k >= 2 and i >= 1 and ((i - 1) * log10(k) > 20 or c_index(k, i) * log10(k) > LIMITS_MAX_DIGITS):
-        raise DomainError(f"k**c_{i} at k={k} would print more than {LIMITS_MAX_DIGITS} digits")
+    _require_printable_limit(args.k, args.max_rank + 1)
     dist = limit_distribution(args.k, args.max_rank)
     rows = [
         {"rank": e.rank, "c": str(e.c), **exact("tail_prob", e.tail_prob),
@@ -122,6 +125,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    _require_printable_limit(args.k, args.max_rank + 1)
     report = stats.estimate_rank_distribution(
         args.k, args.n, args.samples, args.seed, args.max_rank
     )
@@ -140,6 +144,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
+    _require_printable_limit(args.k, args.i)
     grid, powers = args.n_grid, args.negligibility
     if not grid:
         raise DomainError("--n-grid must list at least one n")

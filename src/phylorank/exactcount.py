@@ -536,7 +536,8 @@ class CountTable:
       g_j for j <= k is built at construction, larger j by
       ``forest_count``, which builds only the O(log j) halves below it;
     * composition totals ``g_k = k! t``;
-    * root ranks ``k! r_i = r_{i-1}^{*k}``, with r_0 = t;
+    * root ranks ``k! r_1 = g_k``, the stored g_k, no product (the tower
+      checked g_k = t^{*k} down to t), and ``k! r_i = r_{i-1}^{*k}``, i >= 2;
     * rank-at-least ``m_i = r_i + m_i * f_{k-1}``.
 
     Every query lifts its stored value back to a count, times n! / k!^n,
@@ -555,7 +556,7 @@ class CountTable:
         # demand by forest_count
         self._g: dict[int, list[int]] = {}
         for j in range(1, k + 1):
-            self._g[j] = self._build_g(j)
+            self._forest_tower(j)
         self._t = self._g[1]
         self._verify_composition_totals()
         # forests of k-1 trees (unordered), used by the rank-at-least identity
@@ -651,56 +652,46 @@ class CountTable:
                     f"expected k!*t = {self._kfac * self._t[n]}"
                 )
 
-    def _build_g(self, j: int) -> list[int]:
-        """Closed g_j, checked against g_{floor(j/2)} * g_{ceil(j/2)}; both
-        halves must be built already."""
-        closed = self._closed(f"g_{j}", j)
-        if j > 1:
-            halves = [(f"g_{h}", self._g[h]) for h in (j // 2, j - j // 2)]
-            self._check_identity(f"ordered {j}-forest count", f"g_{j}", closed, halves)
-        return closed
-
     def _forest_tower(self, j: int) -> list[int]:
-        """g_j, building and checking the missing halves below it first."""
+        """g_j, built, checked against g_{floor(j/2)} * g_{ceil(j/2)} (g_1 = t
+        has no halves) and stored on first use, the missing halves first."""
         if j not in self._g:
-            self._forest_tower(j // 2)
-            self._forest_tower(j - j // 2)
-            self._g[j] = self._build_g(j)
+            factors = [(f"g_{h}", self._forest_tower(h)) for h in (j // 2, j - j // 2) if j > 1]
+            closed = self._closed(f"g_{j}", j)
+            if factors:
+                self._check_identity(f"ordered {j}-forest count", f"g_{j}", closed, factors)
+            self._g[j] = closed
         return self._g[j]
 
-    def _build_r(self, i: int) -> list[int]:
-        """Closed r_i, checked against k! r_i = r_{i-1}^{*k}."""
-        closed = self._closed(f"r_{i}", self.k**i, self._kfac ** c_index(self.k, i))
-        self._check_identity(
-            "root-rank count", f"r_{i}", closed, ((f"r_{i - 1}", self._r[i - 1]),) * self.k,
-            scale=self._kfac,
-        )
-        return closed
-
-    def _build_m(self, i: int) -> list[int]:
-        """Closed m_i, checked against m_i = r_i + m_i * f_{k-1}."""
-        power = self.k**i + 1
-        divisor = self._kfac * power * self._kfac ** c_index(self.k, i)
-        closed = self._closed(f"m_{i}", power, divisor, derivative=True)
-        self._check_identity(
-            "rank-at-least count", f"m_{i}", closed,
-            ((f"m_{i}", closed), (f"f_{self.k - 1}", self._fkm1)), plus=self._get_r(i),
-        )
-        return closed
-
     def _get_r(self, i: int) -> Sequence[int]:
+        """r_i, built, checked and stored on first use: k! r_1 against the
+        stored g_k, which the forest tower has checked down to t, and k! r_i
+        against r_{i-1}^{*k} for i >= 2, r_{i-1} first."""
         if i > self._top_rank:
             return self._zeros
-        for j in range(1, i + 1):
-            if j not in self._r:
-                self._r[j] = self._build_r(j)
+        if i not in self._r:
+            k = self.k
+            below = [(f"g_{k}", self._g[k])] if i == 1 else [(f"r_{i - 1}", self._get_r(i - 1))] * k
+            closed = self._closed(f"r_{i}", k**i, self._kfac ** c_index(k, i))
+            self._check_identity("root-rank count", f"r_{i}", closed, below, scale=self._kfac)
+            self._r[i] = closed
         return self._r[i]
 
     def _get_m(self, i: int) -> Sequence[int]:
+        """m_i, built, checked against m_i = r_i + m_i * f_{k-1} and stored on
+        first use, r_i first."""
         if i > self._top_rank:
             return self._zeros
         if i not in self._m:
-            self._m[i] = self._build_m(i)
+            r_i = self._get_r(i)
+            power = self.k**i + 1
+            divisor = self._kfac * power * self._kfac ** c_index(self.k, i)
+            closed = self._closed(f"m_{i}", power, divisor, derivative=True)
+            self._check_identity(
+                "rank-at-least count", f"m_{i}", closed,
+                ((f"m_{i}", closed), (f"f_{self.k - 1}", self._fkm1)), plus=r_i,
+            )
+            self._m[i] = closed
         return self._m[i]
 
     def _check_cover(self, n: int) -> None:

@@ -7,9 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from phylorank import bruteforce, cli, exactcount, seriesoracle
+from phylorank import bruteforce, cli, exactcount, seriesoracle, stats
 from phylorank.cli import main
-from phylorank.exactcount import LimitDistribution
 from phylorank.treecore import from_newick
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -368,21 +367,40 @@ def test_limits_power_bound_exit_code(capsys, monkeypatch):
     assert "bits" in err
 
 
-@pytest.mark.parametrize("k, last_admitted", [(2, 18), (3, 11)])
-def test_limits_digit_bound(capsys, monkeypatch, k, last_admitted):
-    # k=2, rank 18 prints 157,826 digits; the bound is decided from k and the
-    # rank alone, so the values are never built on either side of it
-    def refuse(k, max_rank):
-        raise AssertionError("limit_distribution must not be reached")
+class _Reached(Exception):
+    """Raised by a stand-in for the function a command builds its values with."""
 
-    monkeypatch.setattr(cli, "limit_distribution", refuse)
+
+def _reached(*args, **kwargs):
+    raise _Reached
+
+
+# each command that prints an exact limit: the function it builds its values
+# with, the flags it needs besides --k, its rank flag, and that flag's offset
+# from limits' --max-rank at the same largest power (convergence --i i prints
+# k**c_i, as limits --max-rank i-1 does)
+_LIMIT_PRINTERS = {
+    "limits": (cli, "limit_distribution", [], "--max-rank", 0),
+    "estimate": (stats, "estimate_rank_distribution", ["--n", "5", "--samples", "1"], "--max-rank", 0),
+    "convergence": (stats, "convergence_table", ["--n-grid", "3"], "--i", 1),
+}
+
+
+@pytest.mark.parametrize("k, last_admitted", [(2, 18), (3, 11)])
+@pytest.mark.parametrize("command", list(_LIMIT_PRINTERS))
+def test_limits_digit_bound(capsys, monkeypatch, command, k, last_admitted):
+    # k=2, rank 18 prints 157,826 digits; the bound is decided from k and the
+    # rank alone, so nothing is sampled and no table or value is built on
+    # either side of it
+    module, builder, flags, rank_flag, offset = _LIMIT_PRINTERS[command]
+    monkeypatch.setattr(module, builder, _reached)
+    argv = [command, "--k", str(k), *flags, rank_flag]
     for refused in (last_admitted + 1, 10**12):
-        code, out, err = run(capsys, "limits", "--k", str(k), "--max-rank", str(refused))
+        code, out, err = run(capsys, *argv, str(refused + offset))
         assert code == 2 and out == ""
-        assert "digits" in err
-    monkeypatch.setattr(cli, "limit_distribution", lambda k, max_rank: LimitDistribution(k, ()))
-    code, out, _ = run(capsys, "limits", "--k", str(k), "--max-rank", str(last_admitted))
-    assert code == 0 and out.startswith("rank\tc")
+        assert f"would print more than {cli.LIMITS_MAX_DIGITS} digits" in err
+    with pytest.raises(_Reached):
+        main([*argv, str(last_admitted + offset)])
 
 
 def test_removed_workers_option_is_a_usage_error():

@@ -493,6 +493,16 @@ def test_dual_route_tripwire_fires_on_corruption():
         table.rank_ge_count(1, 8)
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_root_rank_check_reads_the_stored_g_k(k):
+    # the tower has checked g_k at construction; a stored g_k changed after
+    # that must still fail the check of k! r_1 = g_k, at the n it changed
+    table = CountTable(k, 13)
+    table._g[k][7] += 1
+    with pytest.raises(ConsistencyError, match=r"root-rank count at n=7: closed form r_1\(7\)"):
+        table.root_rank_count(1, 13)
+
+
 # Every fault below is injected through one seam: CountTable._closed, the
 # builder of every closed sequence, returns the sequence named ``seq`` off by
 # ``delta`` at n.  The public query that builds a sequence of each kind:
@@ -1073,6 +1083,23 @@ def test_k2_products_run_on_the_stored_lists(monkeypatch):
     )
     table = CountTable(2, 30)
     table.rank_ge_count(1, 30)
-    *squares, (m_1, f_1) = calls  # g_2 and r_1, then m_1
-    assert len(squares) == 2 and all(u is v is table._t for u, v in squares)
+    (t, t_again), (m_1, f_1) = calls  # g_2's one square, then m_1; r_1 forms none
+    assert t is t_again is table._t
     assert m_1 is table._get_m(1) and f_1 is table._fkm1
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_root_rank_one_forms_no_product(monkeypatch, k):
+    # k! r_1 is compared with the stored g_k, which the tower has checked
+    # down to t; k! r_2 = r_1^{*k} still takes its k - 1 products
+    table = CountTable(k, 31)
+    calls = []
+    for name in ("_cauchy_product", "_packed_product"):
+        spied = getattr(exactcount, name)
+        monkeypatch.setattr(
+            exactcount, name, lambda *args, spied=spied: calls.append(args) or spied(*args)
+        )
+    table.root_rank_count(1, 31)
+    assert calls == []
+    table.root_rank_count(2, 31)
+    assert len(calls) == k - 1
