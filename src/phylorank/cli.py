@@ -149,10 +149,10 @@ def _cmd_convergence(args) -> int:
     if not grid:
         raise DomainError("--n-grid must list at least one n")
     report = stats.convergence_table(args.k, args.i, grid, negligibility_powers=powers)
-    # the JSON gives the gap exactly and the negligibility ratios as a map;
-    # the TSV repeats the limit on each row and gives decimals only
-    head = {"k": report.k, "i": report.i, **exact("limit", report.limit)}
+    # JSON: a head with the exact limit, the gap exactly, the negligibility ratios
+    # as a map; TSV: no head, the limit's decimal on each row, decimals only
     if args.format == "json":
+        head = {"k": report.k, "i": report.i, **exact("limit", report.limit)}
         columns: tuple[str, ...] = ()
         rows = [
             {"n": r.n, **exact("ratio", r.ratio), **exact("gap", r.gap),
@@ -160,11 +160,11 @@ def _cmd_convergence(args) -> int:
             for r in report.rows
         ]
     else:
-        negs = sorted(set(powers))
+        head, negs, limit = {}, sorted(set(powers)), decimal_str(report.limit)
         columns = ("n", "ratio", "ratio_decimal", "limit_decimal", "gap_decimal",
                    *(f"neg_T^{p}" for p in negs))
         rows = [
-            {"n": r.n, **exact("ratio", r.ratio), "limit_decimal": decimal_str(report.limit),
+            {"n": r.n, **exact("ratio", r.ratio), "limit_decimal": limit,
              "gap_decimal": decimal_str(r.gap),
              **{f"neg_T^{p}": decimal_str(r.negligibility[p]) for p in negs}}
             for r in report.rows

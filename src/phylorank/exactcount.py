@@ -11,16 +11,15 @@ Each counting sequence is computed along two independent routes:
   (root removal: a tree is a root plus an unordered set of k subtrees).
 
 A :class:`CountTable` stores every sequence u reduced, as u(n) k!^n / n!,
-where labelled convolution is the plain Cauchy product.  It checks each
-sequence against its identity at every n before storing it and lifts each
-query back to a count exactly; the class docstring says which identity checks
-which sequence, and how (products of PACKED_FROM terms and more by two-point
-Kronecker substitution into ``Decimal`` integers, in blocks sized from the
-product, which libmpdec multiplies by number-theoretic transform; each term
-becomes text only when its block is packed, and each slot is read back by
-``int()`` in chunks under CPython's digit limit).  Any
-disagreement, inexact division or term off its residue class raises
-:class:`ConsistencyError`.
+where labelled convolution is the plain Cauchy product.  The reduced terms are
+exact ``Decimal`` integers, and all arithmetic on them runs in one context,
+``_EXACT``, which raises rather than round.  A table checks each sequence
+against its identity at every n before storing it and lifts each query back
+to an ``int`` count exactly; the class docstring says which identity checks
+which sequence, and how (every product by two-point Kronecker substitution
+into ``Decimal`` integers, in blocks sized from the product, which libmpdec
+multiplies by number-theoretic transform).  Any disagreement, inexact
+division or term off its residue class raises :class:`ConsistencyError`.
 
 Notation used throughout: a tree on n leaves exists iff (n-1) is divisible by
 (k-1); then s = (n-1)/(k-1) counts internal vertices and k*s+1 all vertices.
@@ -30,7 +29,8 @@ The rank-i exponent is c_i = (k^i - 1)/(k - 1), satisfying c_{i+1} = k*c_i + 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
+from decimal import DivisionByZero, Inexact, InvalidOperation, Overflow, Rounded
 from fractions import Fraction
 from itertools import accumulate
 from math import ceil, comb, factorial, gcd, log2, prod
@@ -74,9 +74,9 @@ def _check_rank(i: int, name: str = "rank index") -> None:
     require_int(i, name, 0)
 
 
-def _exact_div(num: int, den: int, what: str) -> int:
+def _exact_div(num: int | Decimal, den: int | Decimal, what: str) -> int | Decimal:
     if den == 1:
-        return num  # divmod would copy num; f_1 = g_1 / 1! shares t's integers
+        return num  # divmod would copy num; f_1 = g_1 / 1! shares t's terms
     q, r = divmod(num, den)
     if r:
         raise ConsistencyError(f"inexact division while computing {what}: {num} / {den}")
@@ -121,7 +121,15 @@ def coeff_T_pow(k: int, power: int, n: int) -> Fraction:
     return Fraction(num, den)
 
 
-def _forest_count_array(k: int, p: int, upto: int) -> list[int]:
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
+                 traps=[InvalidOperation, DivisionByZero, Overflow, Inexact, Rounded])
+"""The one context of all arithmetic on reduced terms, whatever the caller's: integers of any
+size are exact, and an operation that would round raises instead."""
+
+_ZERO = Decimal(0)
+
+
+def _forest_count_array(k: int, p: int, upto: int) -> list[Decimal]:
     """The reduced forest counts G_p(n) = g_p(n) k!^n / n! = k!^p [x^n] Z^p
     for n = 0..upto, by the exact term ratio; Z = x + k!^(k-2) Z^k, so that
     T(k! x) = k! Z(x).
@@ -131,26 +139,27 @@ def _forest_count_array(k: int, p: int, upto: int) -> list[int]:
     step s -> s+1 (n -> n+k-1) multiplies by k!^(k-2) (N+1)...(N+k) and
     divides exactly by (s+1) (n+1)...(n+k-1): products of k small integers.
     """
-    out = [0] * (upto + 1)
+    out = [_ZERO] * (upto + 1)
     kfac = factorial(k)
-    scale, g = kfac ** (k - 2), kfac**p
-    for s, n in enumerate(range(p, upto + 1, k - 1)):
-        if s:  # (N+1)...(N+k) and (n+1)...(n+k-1) of the step before
-            den = s * prod(range(n - k + 2, n + 1))
-            g, r = divmod(g * scale * prod(range(n + s - k, n + s)), den)
-            if r:
-                raise ConsistencyError(
-                    f"reduced {p}-forest count G_{p}({n}) is no integer: the term ratio "
-                    f"from n={n - k + 1} leaves remainder {r} modulo {den}"
-                )
-        out[n] = g
+    scale, g = kfac ** (k - 2), Decimal(kfac**p)
+    with localcontext(_EXACT):
+        for s, n in enumerate(range(p, upto + 1, k - 1)):
+            if s:  # (N+1)...(N+k) and (n+1)...(n+k-1) of the step before
+                den = s * prod(range(n - k + 2, n + 1))
+                g, r = divmod(g * (scale * prod(range(n + s - k, n + s))), den)
+                if r:
+                    raise ConsistencyError(
+                        f"reduced {p}-forest count G_{p}({n}) is no integer: the term ratio "
+                        f"from n={n - k + 1} leaves remainder {r} modulo {den}"
+                    )
+            out[n] = g
     return out
 
 
-def _lift(name: str, n: int, value: int, fact: int, kfac_pow: int) -> int:
+def _lift(name: str, n: int, value: Decimal, fact: int, kfac_pow: int) -> int:
     """The count value * n! / k!^n whose reduced value at n is ``value``,
     given fact = n! and kfac_pow = k!^n; a remainder means it is no count."""
-    q, r = divmod(value * fact, kfac_pow)
+    q, r = divmod(int(value) * fact, kfac_pow)
     if r:
         d = kfac_pow // gcd(fact, kfac_pow)
         raise ConsistencyError(
@@ -160,26 +169,22 @@ def _lift(name: str, n: int, value: int, fact: int, kfac_pow: int) -> int:
     return q
 
 
-def _cauchy_product(u: Sequence[int], v: Sequence[int], upto: int) -> list[int]:
-    """w(n) = sum_a u(a) v(n-a) for n <= upto, with u(0) = v(0) = 0.
+def _cauchy_product(u: Sequence, v: Sequence, upto: int) -> list:
+    """w(n) = sum_a u(a) v(n-a) for n <= upto, with u(0) = v(0) = 0, term by
+    term in ``_EXACT``: the reference that the tests hold ``_packed_product`` to.
 
     A square (``u is v``) multiplies each pair of mirror terms once."""
     out = [0] * (upto + 1)
-    for n in range(2, upto + 1):
-        if u is v:
-            half = n // 2
-            acc = 2 * sum(map(mul, u[1:n - half], u[n - 1:half:-1]))
-            out[n] = acc + u[half] * u[half] if n % 2 == 0 else acc
-        else:
-            out[n] = sum(map(mul, u[1:n], v[n - 1:0:-1]))
+    with localcontext(_EXACT):
+        for n in range(2, upto + 1):
+            if u is v:
+                half = n // 2
+                acc = 2 * sum(map(mul, u[1:n - half], u[n - 1:half:-1]))
+                out[n] = acc + u[half] * u[half] if n % 2 == 0 else acc
+            else:
+                out[n] = sum(map(mul, u[1:n], v[n - 1:0:-1]))
     return out
 
-
-PACKED_FROM = 300
-"""Products of PACKED_FROM terms and more use ``_packed_product``, shorter ones
-``_cauchy_product``; at k >= 3 a product's length is that of its factors' residue-class images,
-about n / (k - 1).  On a table's own factors the two are about equal at 250 to 300 terms for
-k = 2 and for k = 3, and the packed one is 1.3 to 1.4 times faster at 350 terms."""
 
 PACK_DIGITS = 155_648
 """Fewest digits in an operand budget of ``_packed_product``: two such operands fill libmpdec's
@@ -193,51 +198,31 @@ PACK_SHARE PACK_DIGITS keeps PACK_DIGITS: at k = 2, every product through n of a
 A half was faster but peaked at 210 MB on ``CountTable(2, 10001)``, against 141 MB; an eighth
 made ``rank_census(5001, 2)`` 1.6 times slower."""
 
-_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
-_LOG10_2 = 0x4D104D427DE7FBCC47C4ACD414F737DA  # floor(log10(2) 2^128)
-_TEN_640 = 10**640
 
-
-def _digit_counts(seq: Sequence[int]) -> list[int]:
-    """The digits of each x in seq (1 for 0): 2^(b-1) <= x < 2^b, b = x.bit_length(), has e or
-    e + 1 digits for e those of 2^(b-1), and x >= 10^e decides which."""
-    tens: dict[int, int] = {}
-    es = [((max(x.bit_length(), 1) - 1) * _LOG10_2 >> 128) + 1 for x in seq]
-    return [e + (x >= (tens.get(e) or tens.setdefault(e, 10**e))) for e, x in zip(es, seq)]
-
-
-def _read_int(digits: str) -> int:
-    """int(digits) by ``int()`` on chunks of at most 640 digits, CPython's lowest digit limit."""
-    head = len(digits) % 640 or 640
-    value = int(digits[:head])
-    for i in range(head, len(digits), 640):
-        value = value * _TEN_640 + int(digits[i:i + 640])
-    return value
-
-
-def _packed_product(u: Sequence[int], v: Sequence[int], upto: int) -> list[int]:
-    """``_cauchy_product(u, v, upto)`` for non-negative u, v by two-point Kronecker substitution
-    (Harvey 2009) in blocks of ``size`` indices.  A block f is evaluated at x = 10^h and -10^h
-    as E + O and E - O, where E packs its even-index terms and O its odd-index ones, shifted by
-    h digits, into ``Decimal`` integers with 2h-digit slots.  For the pairs of blocks at a and b
-    with a + b = s, P+ and P- sum the products at 10^h and at -10^h (a square doubles each mirror
-    pair), so that (P+ + P-)/2 holds the even slots and (P+ - P-)/2 the odd ones, slot j of either
-    summing u(i) v(i') over i + i' = s + j in the 2h digits that end h j digits from its right.
-    w(n) sums slot n - s of the two s that reach n.  A slot read sums fewer than upto terms, so
-    it cannot overflow D = digits(upto) + digits(u(i)) + digits(v(i')) for the largest of them,
-    and h = ceil(D/2); carries run upward only.  A term becomes text, through ``Decimal``
-    (``str(int)`` has a digit limit), only when its block is packed."""
-    nu = _digit_counts(u[:upto + 1])  # digits of u(i); top[j] those of max v(0..j)
-    top = list(accumulate(nu if v is u else _digit_counts(v[:upto + 1]), max))
+def _packed_product(u: Sequence[Decimal], v: Sequence[Decimal], upto: int) -> list[Decimal]:
+    """``_cauchy_product(u, v, upto)`` for u, v of non-negative ``Decimal`` integers (exponent
+    0) by two-point Kronecker substitution (Harvey 2009) in blocks of ``size`` indices.  A block
+    f is evaluated at x = 10^h and -10^h as E + O and E - O, where E packs its even-index terms
+    and O its odd-index ones, shifted by h digits, into ``Decimal`` integers with 2h-digit
+    slots.  For the pairs of blocks at a and b with a + b = s, P+ and P- sum the products at
+    10^h and at -10^h (a square doubles each mirror pair), so that (P+ + P-)/2 holds the even
+    slots and (P+ - P-)/2 the odd ones, slot j of either summing u(i) v(i') over i + i' = s + j
+    in the 2h digits that end h j digits from its right.  w(n) sums slot n - s of the two s that
+    reach n.  A slot read sums fewer than upto terms, so it cannot overflow D = digits(upto) +
+    digits(u(i)) + digits(v(i')) for the largest of them, and h = ceil(D/2); carries run upward
+    only.  Each term is written with ``str()`` and each slot read back as ``Decimal(text)``, both
+    linear in the digits; all arithmetic is in ``_EXACT``."""
+    nu = [x.adjusted() + 1 for x in u[:upto + 1]]  # digits of u(i); top[j] those of max v(0..j)
+    top = list(accumulate(nu if v is u else (x.adjusted() + 1 for x in v[:upto + 1]), max))
 
     def half(a: int, b: int, size: int) -> int:  # h = ceil(D/2) of the blocks at a and b
         rows = range(a, min(a + size, upto + 1 - b))
         terms = (nu[i] + top[min(b + size - 1, upto - i)] for i in rows)
         return (max(terms, default=2) + len(str(upto)) + 1) // 2
 
-    def points(seq: Sequence[int], lo: int, hi: int, h: int) -> tuple[Decimal, Decimal]:
+    def points(seq: Sequence[Decimal], lo: int, hi: int, h: int) -> tuple[Decimal, Decimal]:
         even, odd = (  # E and O of the block seq[lo:hi]
-            Decimal("".join(str(Decimal(c)).zfill(2 * h) for c in reversed(seq[i:hi:2])) + zeros)
+            Decimal("".join(str(c).zfill(2 * h) for c in reversed(seq[i:hi:2])) + zeros)
             for i, zeros in ((lo, ""), (lo + 1, "0" * h))
         )
         return _EXACT.add(even, odd), _EXACT.subtract(even, odd)
@@ -246,11 +231,11 @@ def _packed_product(u: Sequence[int], v: Sequence[int], upto: int) -> list[int]:
     h = half(1, 1, upto)
     budget = PACK_DIGITS << (((upto + 1) * h - 1) // (PACK_SHARE * PACK_DIGITS)).bit_length()
     size = max(1, budget // h - 1)
-    out = [0] * (upto + 1)
+    out = [_ZERO] * (upto + 1)
     for s in range(2, upto + 1, size):
         pairs = [(a, s - a) for a in range(1, s, size) if v is not u or 2 * a <= s]
         h = max(half(a, b, size) for a, b in pairs)
-        plus = minus = Decimal(0)
+        plus = minus = _ZERO
         for a, b in pairs:
             x = points(u, a, min(a + size, upto + 1 - b), h)
             y = x if v is u and a == b else points(v, b, min(b + size, upto + 1 - a), h)
@@ -269,7 +254,7 @@ def _packed_product(u: Sequence[int], v: Sequence[int], upto: int) -> list[int]:
             for n in range(s + parity, min(upto, s + 2 * size - 2) + 1, 2):
                 end = len(digits) - (n - s) * h
                 if end > 0:
-                    out[n] += _read_int(digits[max(0, end - 2 * h):end])
+                    out[n] = _EXACT.add(out[n], Decimal(digits[max(0, end - 2 * h):end]))
             del digits
     return out
 
@@ -519,7 +504,9 @@ class CountTable:
     coefficients.  So g_p reduces to G_p(n) = k!^p [x^n] Z^p, every reduced
     count is an integer, and the labelled convolution of counts is the plain
     Cauchy product of reduced sequences.  Each G_p is built along n from
-    G_p(p) = k!^p by its exact term ratio, small integers only.  One builder,
+    G_p(p) = k!^p by its exact term ratio, small integers only, as exact
+    ``Decimal`` integers in ``_EXACT``, the one number type of every stored
+    term and every check.  One builder,
     ``_closed``, forms each of g_j, r_i and m_i from one G_p array (through
     n_max + 1 for m_i, whose reduced form is (n+1) G_p(n+1) / (k! p k!^(c_i)))
     and keeps no array.  Each sequence is checked against an identity at
@@ -527,10 +514,9 @@ class CountTable:
     loss (``*`` is the labelled convolution; one comparer,
     ``_check_identity``, checks all three convolution identities; at k >= 3
     it multiplies each factor's residue class of n modulo k - 1 only,
-    refusing a factor non-zero off it; it forms ``*`` of PACKED_FROM terms
-    and more by ``_packed_product``, which evaluates blocks of each sequence
-    at x = 10^h and -10^h in operands sized from the product, and shorter
-    ones by the quadratic ``_cauchy_product``):
+    refusing a factor non-zero off it; it forms every ``*`` by
+    ``_packed_product``, which evaluates blocks of each sequence at x = 10^h
+    and -10^h in operands sized from the product):
 
     * forest tower ``g_j = g_{floor(j/2)} * g_{ceil(j/2)}``, with g_1 = t;
       g_j for j <= k is built at construction, larger j by
@@ -540,8 +526,8 @@ class CountTable:
       checked g_k = t^{*k} down to t), and ``k! r_i = r_{i-1}^{*k}``, i >= 2;
     * rank-at-least ``m_i = r_i + m_i * f_{k-1}``.
 
-    Every query lifts its stored value back to a count, times n! / k!^n,
-    dividing exactly; a value that does not lift is reported as a
+    Every query lifts its stored value back to an ``int`` count, times
+    n! / k!^n, dividing exactly; a value that does not lift is reported as a
     :class:`ConsistencyError` naming the sequence and the n.  r and m are
     filled on first use, so a table is not for concurrent use.
     """
@@ -554,38 +540,41 @@ class CountTable:
 
         # reduced ordered j-forest counts G_j, j = 1..k now, larger j on
         # demand by forest_count
-        self._g: dict[int, list[int]] = {}
+        self._g: dict[int, list[Decimal]] = {}
         for j in range(1, k + 1):
             self._forest_tower(j)
         self._t = self._g[1]
         self._verify_composition_totals()
         # forests of k-1 trees (unordered), used by the rank-at-least identity
-        self._fkm1 = [
-            _exact_div(v, factorial(k - 1), f"f_{k - 1}({n})") for n, v in enumerate(self._g[k - 1])
-        ]
+        with localcontext(_EXACT):
+            self._fkm1 = [_exact_div(v, factorial(k - 1), f"f_{k - 1}({n})")
+                          for n, v in enumerate(self._g[k - 1])]
 
         # the tallest possible rank: a vertex of rank i has at least k^i
         # descendant leaves, so every rank above it shares one zero sequence
         self._top_rank = 0
         while k ** (self._top_rank + 1) <= n_max:
             self._top_rank += 1
-        self._zeros = (0,) * (n_max + 1)
-        self._r: dict[int, Sequence[int]] = {0: self._t}
-        self._m: dict[int, Sequence[int]] = {}
+        self._zeros = (_ZERO,) * (n_max + 1)
+        self._r: dict[int, Sequence[Decimal]] = {0: self._t}
+        self._m: dict[int, Sequence[Decimal]] = {}
 
     # ----- closed forms -------------------------------------------------
 
-    def _closed(self, name: str, p: int, divisor: int = 1, derivative: bool = False) -> list[int]:
+    def _closed(self, name: str, p: int, divisor: int = 1,
+                derivative: bool = False) -> list[Decimal]:
         """The reduced closed sequence ``name``: [0] then G_p(n) / divisor for
         n = 1..n_max, or (n+1) G_p(n+1) / divisor with ``derivative``, from
         one G_p array, every division exact."""
         g = _forest_count_array(self.k, p, self.n_max + derivative)
-        return [0] + [
-            _exact_div((n + 1) * g[n + 1] if derivative else g[n], divisor, f"{name}({n})")
-            for n in range(1, self.n_max + 1)
-        ]
+        with localcontext(_EXACT):
+            divisor = Decimal(divisor)
+            return [_ZERO] + [
+                _exact_div((n + 1) * g[n + 1] if derivative else g[n], divisor, f"{name}({n})")
+                for n in range(1, self.n_max + 1)
+            ]
 
-    def _count(self, name: str, seq: Sequence[int], n: int) -> int:
+    def _count(self, name: str, seq: Sequence[Decimal], n: int) -> int:
         """The count seq(n) n! / k!^n of the reduced sequence ``name``."""
         return _lift(name, n, seq[n], factorial(n), self._kfac**n)
 
@@ -595,21 +584,22 @@ class CountTable:
         self,
         what: str,
         name: str,
-        closed: Sequence[int],
-        factors: Sequence[tuple[str, Sequence[int]]],
+        closed: Sequence[Decimal],
+        factors: Sequence[tuple[str, Sequence[Decimal]]],
         scale: int = 1,
-        plus: Sequence[int] | None = None,
+        plus: Sequence[Decimal] | None = None,
     ) -> None:
         """Raise unless scale closed(n) = plus(n) + (f_1 * ... * f_r)(n) for
         1 <= n <= n_max.  ``closed`` is the closed form ``name``; it, the named
         factors and ``plus`` (default 0) are reduced sequences, so the Cauchy
         product ``*`` is the labelled convolution of the counts.  A factor
-        repeated as the same list takes the squaring path.  At k >= 3 each
-        product runs on the images [0] + f[lo::k-1] (y = x^(k-1)) of factors f
-        first non-zero at lo, and a factor non-zero off that class raises."""
+        repeated as the same list takes the squaring path.  Every product is
+        ``_packed_product``'s.  At k >= 3 each product runs on the images
+        [0] + f[lo::k-1] (y = x^(k-1)) of factors f first non-zero at lo, and a
+        factor non-zero off that class raises."""
         step, upto = self.k - 1, self.n_max
 
-        def image(fname: str, f: Sequence[int]) -> tuple[int, list[int]]:
+        def image(fname: str, f: Sequence[Decimal]) -> tuple[int, list[Decimal]]:
             lo = next((n for n in range(1, upto + 1) if f[n]), upto + 1)
             off = next((n for n in range(lo, upto + 1) if f[n] and (n - lo) % step), 0)
             if off:
@@ -617,42 +607,41 @@ class CountTable:
                     f"{what} at n={off}: {fname}({off}) = {f[off]} lies off the residue "
                     f"class of {fname}({lo}) modulo k-1 = {step}"
                 )
-            return lo, [0] + f[lo:upto + 1:step]
-
-        def product(x: Sequence[int], y: Sequence[int], length: int) -> list[int]:
-            return (_packed_product if length >= PACKED_FROM else _cauchy_product)(x, y, length)
+            return lo, [_ZERO] + f[lo:upto + 1:step]
 
         rhs = factors[0][1]
         for fname, factor in factors[1:]:
             if step == 1:  # every n is on the class: no image, no copy
-                rhs = product(rhs, factor, upto)
+                rhs = _packed_product(rhs, factor, upto)
                 continue
             a, x = image(factors[0][0], rhs)
             b, y = (a, x) if factor is rhs else image(fname, factor)
-            w = product(x, y, max(0, (upto - a - b) // step + 2))
-            rhs = [0] * (upto + 1)
+            w = _packed_product(x, y, max(0, (upto - a - b) // step + 2))
+            rhs = [_ZERO] * (upto + 1)
             rhs[a + b:upto + 1:step] = w[2:]  # w(j) is the term at n = a + b + step (j - 2)
-        for n in range(1, upto + 1):
-            left = scale * closed[n]
-            right = rhs[n] + plus[n] if plus is not None else rhs[n]
-            if left != right:
-                raise ConsistencyError(
-                    f"{what} at n={n}: closed form {name}({n}) = {closed[n]} "
-                    f"breaks its convolution identity ({left} != {right}, all reduced)"
-                )
+        with localcontext(_EXACT):
+            for n in range(1, upto + 1):
+                left = scale * closed[n]
+                right = rhs[n] + plus[n] if plus is not None else rhs[n]
+                if left != right:
+                    raise ConsistencyError(
+                        f"{what} at n={n}: closed form {name}({n}) = {closed[n]} "
+                        f"breaks its convolution identity ({left} != {right}, all reduced)"
+                    )
 
     def _verify_composition_totals(self) -> None:
         """g_k(n) = k! * t(n) at every 2 <= n <= n_max: the k root subtrees of
         a tree, put in order, are one ordered k-forest."""
         g_k = self._g[self.k]
-        for n in range(2, self.n_max + 1):
-            if g_k[n] != self._kfac * self._t[n]:
-                raise ConsistencyError(
-                    f"reduced ordered {self.k}-forest count at n={n} is {g_k[n]}, "
-                    f"expected k!*t = {self._kfac * self._t[n]}"
-                )
+        with localcontext(_EXACT):
+            for n in range(2, self.n_max + 1):
+                if g_k[n] != self._kfac * self._t[n]:
+                    raise ConsistencyError(
+                        f"reduced ordered {self.k}-forest count at n={n} is {g_k[n]}, "
+                        f"expected k!*t = {self._kfac * self._t[n]}"
+                    )
 
-    def _forest_tower(self, j: int) -> list[int]:
+    def _forest_tower(self, j: int) -> list[Decimal]:
         """g_j, built, checked against g_{floor(j/2)} * g_{ceil(j/2)} (g_1 = t
         has no halves) and stored on first use, the missing halves first."""
         if j not in self._g:
@@ -663,7 +652,7 @@ class CountTable:
             self._g[j] = closed
         return self._g[j]
 
-    def _get_r(self, i: int) -> Sequence[int]:
+    def _get_r(self, i: int) -> Sequence[Decimal]:
         """r_i, built, checked and stored on first use: k! r_1 against the
         stored g_k, which the forest tower has checked down to t, and k! r_i
         against r_{i-1}^{*k} for i >= 2, r_{i-1} first."""
@@ -677,7 +666,7 @@ class CountTable:
             self._r[i] = closed
         return self._r[i]
 
-    def _get_m(self, i: int) -> Sequence[int]:
+    def _get_m(self, i: int) -> Sequence[Decimal]:
         """m_i, built, checked against m_i = r_i + m_i * f_{k-1} and stored on
         first use, r_i first."""
         if i > self._top_rank:

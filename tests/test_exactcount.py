@@ -1,7 +1,7 @@
 import random
 import sys
 import tracemalloc
-from decimal import Decimal
+from decimal import Decimal, Inexact, Rounded, localcontext
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
@@ -516,7 +516,7 @@ def _corrupt(monkeypatch, seq, n, delta=1):
         out = closed(self, name, *args, **kwargs)
         if name == seq:
             assert out[n], f"{seq}({n}) is 0 already"
-            out[n] += delta
+            out[n] = exactcount._EXACT.add(out[n], delta)
         return out
 
     monkeypatch.setattr(CountTable, "_closed", corrupt)
@@ -624,7 +624,7 @@ def _via_reduction(k, reduced, upto):
     w = reduce(lambda x, y: _cauchy_product(x, y, upto), reduced)
     out = [0] * (upto + 1)
     for n in range(1, upto + 1):
-        q, r = divmod(w[n] * factorial(n), factorial(k) ** n)
+        q, r = divmod(int(w[n]) * factorial(n), factorial(k) ** n)
         assert r == 0
         out[n] = q
     return out
@@ -809,13 +809,20 @@ def test_table_forms_no_binomial_per_n(monkeypatch):
     assert len(calls) <= 2
 
 
-# The packed product against the quadratic reference.  Products of
-# PACKED_FROM terms and more are formed by Kronecker substitution in blocks
-# sized from the product; _cauchy_product stays the independent route.  A
-# share of 1/NO_GROWTH never grows an operand budget past PACK_DIGITS, so a
-# test that sets PACK_DIGITS sets the block size.
+# The packed product against the quadratic reference.  Every product is
+# formed by Kronecker substitution in blocks sized from the product;
+# _cauchy_product on the ints stays the independent route.  A share of
+# 1/NO_GROWTH never grows an operand budget past PACK_DIGITS, so a test that
+# sets PACK_DIGITS sets the block size.
 
 NO_GROWTH = 10**9
+
+
+def _packed(u, v, upto):
+    """``_packed_product`` on ``Decimal`` copies of the int sequences u and v;
+    a square (``v is u``) stays one list, so it takes the squaring path."""
+    x = [Decimal(c) for c in u]
+    return exactcount._packed_product(x, x if v is u else [Decimal(c) for c in v], upto)
 
 
 def _random_sequence(rng, length, digits, zeros=0.0):
@@ -837,13 +844,13 @@ def test_packed_product_matches_the_quadratic_reference(monkeypatch, budget, zer
     for upto in range(41):
         u = _random_sequence(rng, upto + 3, 25, zeros)
         v = _random_sequence(rng, upto, 25, zeros)
-        assert exactcount._packed_product(u, v, upto) == _cauchy_product(u, v, upto)
-        assert exactcount._packed_product(u, u, upto) == _cauchy_product(u, u, upto)
-    assert exactcount._packed_product([0] * 41, [0] * 41, 40) == [0] * 41
+        assert _packed(u, v, upto) == _cauchy_product(u, v, upto)
+        assert _packed(u, u, upto) == _cauchy_product(u, u, upto)
+    assert _packed([0] * 41, [0] * 41, 40) == [0] * 41
     # all nines: every slot as full as the slot width allows
     nines = [0] + [10**25 - 1] * 40
-    assert exactcount._packed_product(nines, nines, 40) == _cauchy_product(nines, nines, 40)
-    assert exactcount._packed_product(nines, nines[:], 40) == _cauchy_product(nines, nines, 40)
+    assert _packed(nines, nines, 40) == _cauchy_product(nines, nines, 40)
+    assert _packed(nines, nines[:], 40) == _cauchy_product(nines, nines, 40)
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 4, 5, None])
@@ -867,16 +874,16 @@ def test_packed_product_of_full_slots(monkeypatch, size, u_digits, v_digits, upt
                 h = (len(str(x[1])) + len(str(y[1])) + len(str(upto)) + 1) // 2
                 monkeypatch.setattr(exactcount, "PACK_DIGITS", h * (size + 1))
                 monkeypatch.setattr(exactcount, "PACK_SHARE", NO_GROWTH)
-            assert exactcount._packed_product(x, y, upto) == _cauchy_product(x, y, upto)
+            assert _packed(x, y, upto) == _cauchy_product(x, y, upto)
 
 
 @pytest.mark.parametrize("shift", [-1, 0, 1])
 def test_packed_product_matches_at_the_crossover(shift):
     rng = random.Random(shift)
-    upto = exactcount.PACKED_FROM + shift
+    upto = 300 + shift
     u, v = _random_sequence(rng, upto, 40), _random_sequence(rng, upto, 40)
-    assert exactcount._packed_product(u, v, upto) == _cauchy_product(u, v, upto)
-    assert exactcount._packed_product(u, u, upto) == _cauchy_product(u, u, upto)
+    assert _packed(u, v, upto) == _cauchy_product(u, v, upto)
+    assert _packed(u, u, upto) == _cauchy_product(u, u, upto)
 
 
 def test_packed_product_ignores_the_int_str_digit_limit():
@@ -892,17 +899,17 @@ def test_packed_product_ignores_the_int_str_digit_limit():
     try:
         with pytest.raises(ValueError):
             str(u[1])
-        assert exactcount._packed_product(u, v, 30) == _cauchy_product(u, v, 30)
-        assert exactcount._packed_product(u, u, 30) == _cauchy_product(u, u, 30)
+        assert _packed(u, v, 30) == _cauchy_product(u, v, 30)
+        assert _packed(u, u, 30) == _cauchy_product(u, u, 30)
     finally:
         sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_packed_product_of_the_table_sequences(k):
-    # the factors of g_2, r_1, r_2, m_1 and m_2 just above the crossover;
+    # the factors of g_2, r_1, r_2, m_1 and m_2, about 300 terms long;
     # at k=3, r_i is a 3-fold product whose second step is no square
-    n = exactcount.PACKED_FROM + 3
+    n = 303
     table = CountTable(k, n)
     factors = [[table._g[1]] * 2]
     for i in (1, 2):
@@ -914,55 +921,41 @@ def test_packed_product_of_the_table_sequences(k):
 
 
 @pytest.mark.parametrize(
-    "k,seq", [(2, "g_2"), (2, "r_1"), (3, "r_1"), (2, "m_1"), (3, "m_1")]
+    "k,seq",
+    [(2, "g_2"), (2, "r_1"), (3, "r_1"), (2, "r_2"), (3, "r_2"), (2, "m_1"), (3, "m_1")],
 )
 @pytest.mark.parametrize("at", ["half", "n_max"])
 def test_packed_checks_fail_like_the_quadratic_ones(monkeypatch, k, seq, at):
-    # n_max puts every check on the packed route, its images' lengths at least
-    # PACKED_FROM; the same fault must fail it at the same n, with the same
-    # message, as on the quadratic route
-    n_max = (k - 1) * exactcount.PACKED_FROM + 3
+    # images about 300 terms long; the same fault must fail the packed check
+    # at the same n, with the same message, as with _cauchy_product in place
+    # of _packed_product.  r_2 is the first r_i whose check forms products
+    n_max = (k - 1) * 300 + 3
     n = n_max // 2 if at == "half" else n_max
     _corrupt(monkeypatch, seq, n)
-    packed_calls = []
-    packed = exactcount._packed_product
-    monkeypatch.setattr(
-        exactcount, "_packed_product", lambda *args: packed_calls.append(args) or packed(*args)
-    )
 
-    def failure():
+    def failure(product):
+        calls = []
+        monkeypatch.setattr(
+            exactcount, "_packed_product", lambda *args: calls.append(args) or product(*args)
+        )
         with pytest.raises(ConsistencyError, match=rf"at n={n}: closed form {seq}\({n}\)") as err:
             table = CountTable(k, n_max)
             getattr(table, _QUERY[seq[0]])(int(seq[2:]), n_max)
+        assert calls
         return str(err.value)
 
-    message = failure()
-    assert packed_calls
-    monkeypatch.setattr(exactcount, "PACKED_FROM", n_max + 1)
-    packed_calls.clear()
-    assert failure() == message
-    assert not packed_calls
+    packed = failure(exactcount._packed_product)
+    assert failure(_cauchy_product) == packed
 
 
-# The kernel's digit counts, slot reads and operand sizes.  Each coefficient's
-# digit count comes from its bit length and one comparison with a power of ten,
-# and each slot is read back by int() on chunks of at most 640 digits.
-
-
-def test_digit_counts_at_powers_of_ten():
-    rng = random.Random(5000)
-    ds = list(range(1, 101)) + sorted(rng.sample(range(101, 5001), 200)) + [5000]
-    values = [x for d in ds for x in (10**d - 1, 10**d)]
-    assert exactcount._digit_counts(values) == [c for d in ds for c in (d, d + 1)]
-    assert exactcount._digit_counts([0, 1, 9, 10, 2**64, 2**64 - 1]) == [1, 1, 1, 2, 20, 20]
+# The kernel's slot reads and operand sizes.  Each term's digit count is its
+# adjusted() + 1, and each slot is read back as Decimal(text), which no
+# int/str digit limit bounds.
 
 
 def test_slots_are_read_under_the_lowest_digit_limit():
     if not hasattr(sys, "set_int_max_str_digits"):
         pytest.skip("no int/str digit limit in this Python")
-    rng = random.Random(640)
-    texts = ["".join(rng.choice("0123456789") for _ in range(n)) for n in (640, 641, 1280, 1281)]
-    texts += ["0" * 641, "0" * 700 + "9" * 581]
     # all nines in slots of 2h = 640 and 1280 digits: D = 2 + 319 + 319 and 2 + 639 + 639
     products = [([0] + [10**d - 1] * 20, 20) for d in (319, 639)]
     limit = sys.get_int_max_str_digits()
@@ -970,11 +963,9 @@ def test_slots_are_read_under_the_lowest_digit_limit():
     try:
         with pytest.raises(ValueError):
             int("1" * 641)
-        for text in texts:
-            assert exactcount._read_int(text) == int(Decimal(text))
         for u, upto in products:
-            assert exactcount._packed_product(u, u, upto) == _cauchy_product(u, u, upto)
-            assert exactcount._packed_product(u, u[:], upto) == _cauchy_product(u, u, upto)
+            assert _packed(u, u, upto) == _cauchy_product(u, u, upto)
+            assert _packed(u, u[:], upto) == _cauchy_product(u, u, upto)
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -1005,9 +996,10 @@ def test_packed_product_of_the_table_factors_in_one_and_two_blocks(monkeypatch, 
         [table._get_r(1)] * 2, [table._get_m(2), table._fkm1],
     ]
     for u, v in factors:
+        expected = _cauchy_product(u, v, n)  # in _EXACT, so before the spy stands in
         spy = _MultiplicationSpy(exactcount._EXACT)
         monkeypatch.setattr(exactcount, "_EXACT", spy)
-        assert exactcount._packed_product(u, v, n) == _cauchy_product(u, v, n)
+        assert exactcount._packed_product(u, v, n) == expected
         monkeypatch.undo()
         if u is table._get_m(1):
             assert len(spy.operands) == 2 * pairs
@@ -1032,7 +1024,7 @@ def test_no_operand_exceeds_the_budget(monkeypatch, request, n):
             assert biggest <= exactcount.PACK_DIGITS
             continue
         # the kernel's h: half the digits of the largest slot, u(i) v(i') over i + i' <= n
-        nu, nv = (exactcount._digit_counts(f[:n + 1]) for f in (u, v))
+        nu, nv = ([x.adjusted() + 1 for x in f[:n + 1]] for f in (u, v))
         top = list(accumulate(nv, max))
         h = (max(nu[i] + top[n - i] for i in range(1, n)) + len(str(n)) + 1) // 2
         assert exactcount.PACK_DIGITS < biggest <= 2 * (n + 1) * h // exactcount.PACK_SHARE
@@ -1045,13 +1037,12 @@ def test_no_operand_exceeds_the_budget(monkeypatch, request, n):
 @pytest.mark.parametrize("route", ["packed", "quadratic"])
 @pytest.mark.parametrize("at", ["half", "n_max"])
 def test_a_factor_off_its_residue_class_is_refused(monkeypatch, route, at):
-    n_max = 2 * exactcount.PACKED_FROM + 3  # k = 3: every image at least PACKED_FROM long
+    n_max = 603  # k = 3: images about 300 terms long
     n = n_max // 2 if at == "half" else n_max
-    spied = "_packed_product" if route == "packed" else "_cauchy_product"
-    product, calls = getattr(exactcount, spied), []
-    monkeypatch.setattr(exactcount, spied, lambda *args: calls.append(args) or product(*args))
-    if route == "quadratic":
-        monkeypatch.setattr(exactcount, "PACKED_FROM", n_max + 1)
+    product, calls = exactcount._packed_product if route == "packed" else _cauchy_product, []
+    monkeypatch.setattr(
+        exactcount, "_packed_product", lambda *args: calls.append(args) or product(*args)
+    )
     table = CountTable(3, n_max)  # f_2 is non-zero at even n only; g_2 took the route
     assert calls and table._fkm1[n] == 0 and n % 2
     table._fkm1[n] = 1
@@ -1065,9 +1056,10 @@ def test_a_factor_off_its_residue_class_is_refused(monkeypatch, route, at):
 @pytest.mark.parametrize("route", ["packed", "quadratic"])
 def test_residue_class_images_pass_every_identity(monkeypatch, k, route):
     # r_2 is a k-fold product; g_5 = g_2 * g_3 multiplies two classes.  The
-    # threshold picks the route: every image here is shorter than PACKED_FROM
+    # quadratic route puts _cauchy_product in place of _packed_product
     n = 503
-    monkeypatch.setattr(exactcount, "PACKED_FROM", 0 if route == "packed" else n + 1)
+    if route == "quadratic":
+        monkeypatch.setattr(exactcount, "_packed_product", _cauchy_product)
     table = CountTable(k, n)
     for i in (1, 2):
         table.root_rank_count(i, n)
@@ -1077,9 +1069,9 @@ def test_residue_class_images_pass_every_identity(monkeypatch, k, route):
 
 def test_k2_products_run_on_the_stored_lists(monkeypatch):
     calls = []
-    product = exactcount._cauchy_product
+    product = exactcount._packed_product
     monkeypatch.setattr(
-        exactcount, "_cauchy_product", lambda u, v, upto: calls.append((u, v)) or product(u, v, upto)
+        exactcount, "_packed_product", lambda u, v, upto: calls.append((u, v)) or product(u, v, upto)
     )
     table = CountTable(2, 30)
     table.rank_ge_count(1, 30)
@@ -1103,3 +1095,45 @@ def test_root_rank_one_forms_no_product(monkeypatch, k):
     assert calls == []
     table.root_rank_count(2, 31)
     assert len(calls) == k - 1
+
+
+# Every reduced term is an exact Decimal integer, and all arithmetic on the
+# terms runs in exactcount._EXACT, whatever the thread's context.
+
+
+@pytest.mark.parametrize("k,n", [(2, 701), (3, 601), (4, 301)])
+def test_a_rounding_thread_context_changes_no_value(k, n):
+    expected = CountTable(k, n).rank_census(n, 3)
+    with localcontext() as context:
+        context.prec = 10
+        context.traps[Inexact] = True
+        assert CountTable(k, n).rank_census(n, 3) == expected
+
+
+def test_a_term_that_would_round_is_refused(monkeypatch):
+    narrow = exactcount._EXACT.copy()
+    narrow.prec = 50
+    monkeypatch.setattr(exactcount, "_EXACT", narrow)
+    closed, built = CountTable._closed, []
+
+    def recording(self, name, *args, **kwargs):
+        out = closed(self, name, *args, **kwargs)
+        built.append(name)
+        return out
+
+    monkeypatch.setattr(CountTable, "_closed", recording)
+    with pytest.raises((Rounded, Inexact)):
+        CountTable(2, 301)
+    assert built == []
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_every_stored_term_is_a_decimal_integer(k):
+    table = CountTable(k, 64)
+    for i in (1, 2):
+        table.root_rank_count(i, 64)
+        table.rank_ge_count(i, 64)
+    assert set(table._r) == {0, 1, 2} and set(table._m) == {1, 2}
+    stored = [*table._g.values(), table._fkm1, *table._r.values(), *table._m.values()]
+    for seq in stored:
+        assert all(type(x) is Decimal and x.as_tuple().exponent == 0 for x in seq)
