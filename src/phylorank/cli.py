@@ -7,8 +7,8 @@ Exit codes: 0 success, 2 domain/usage error, 3 internal consistency failure.
 Exact values print as decimal integers or "p/q" rationals, accompanied by
 12-significant-digit decimals where a magnitude helps; JSON output follows
 docs/cli_output.schema.json.  The table reports (census, limits, estimate,
-convergence) print through one emitter, ``_emit_table``, so a report's TSV
-and JSON come from the same rows.
+convergence) print through one emitter, ``_emit_table``; convergence alone
+builds different rows for its TSV and its JSON.
 """
 
 from __future__ import annotations
@@ -34,6 +34,10 @@ from .treecore import RankCensus, to_newick
 # largest integer an exact limit prints, in digits: rendering is quadratic in
 # the digit count (about 2 s for k=2, rank 18: 157,826 digits)
 LIMITS_MAX_DIGITS = 200_000
+
+# largest series truncation order verify checks at: its series checks grow
+# about 10-fold per doubling (k=2, n_max=1: 0.13 s at 64, 0.8 s at 128, 8 s at 256)
+VERIFY_MAX_ORDER = 128
 
 
 def _require_printable_limit(k: int, i: int) -> None:
@@ -186,11 +190,14 @@ def _cmd_verify(args) -> int:
             failures += 1
 
     # Refuse bad input before building or enumerating anything: n_max, the
-    # order, the table's size bound (arithmetic only), then the enumeration
-    # cap, n upward.  t grows with n, so the scan stops at the first n over the
-    # cap (n = 10 at k = 2, n = 13 at k = 3) and forms only small factorials.
+    # order and its bound, the table's size bound (arithmetic only), then the
+    # enumeration cap, n upward.  t grows with n, so the scan stops at the
+    # first n over the cap (n = 10 at k = 2, n = 13 at k = 3) and forms only
+    # small factorials.
     require_int(n_max, "--n-max", 1)
     require_int(order, "truncation order", 1)
+    if order > VERIFY_MAX_ORDER:
+        raise DomainError(f"truncation order {order} is over the bound of {VERIFY_MAX_ORDER}")
     require_table_size(k, max(n_max, order))
     for n in range(1, n_max + 1):
         bruteforce.require_within_cap(k, n)

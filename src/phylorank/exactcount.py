@@ -140,8 +140,11 @@ def _forest_count_array(k: int, p: int, upto: int) -> list[Decimal]:
     divides exactly by (s+1) (n+1)...(n+k-1): products of k small integers.
     """
     out = [_ZERO] * (upto + 1)
-    kfac = factorial(k)
-    scale, g = kfac ** (k - 2), Decimal(kfac**p)
+    if p > upto:  # every term is 0: form no power of k!
+        return out
+    kfac = Decimal(factorial(k))
+    g = _EXACT.power(kfac, p)
+    scale = _EXACT.power(kfac, k - 2) if p + k - 1 <= upto else None  # only a step uses it
     with localcontext(_EXACT):
         for s, n in enumerate(range(p, upto + 1, k - 1)):
             if s:  # (N+1)...(N+k) and (n+1)...(n+k-1) of the step before
@@ -506,24 +509,22 @@ class CountTable:
     Cauchy product of reduced sequences.  Each G_p is built along n from
     G_p(p) = k!^p by its exact term ratio, small integers only, as exact
     ``Decimal`` integers in ``_EXACT``, the one number type of every stored
-    term and every check.  One builder,
-    ``_closed``, forms each of g_j, r_i and m_i from one G_p array (through
-    n_max + 1 for m_i, whose reduced form is (n+1) G_p(n+1) / (k! p k!^(c_i)))
-    and keeps no array.  Each sequence is checked against an identity at
-    every n <= n_max before it is stored, comparing reduced values with no
-    loss (``*`` is the labelled convolution; one comparer,
-    ``_check_identity``, checks all three convolution identities; at k >= 3
-    it multiplies each factor's residue class of n modulo k - 1 only,
-    refusing a factor non-zero off it; it forms every ``*`` by
-    ``_packed_product``, which evaluates blocks of each sequence at x = 10^h
-    and -10^h in operands sized from the product):
+    term and every check.  One builder, ``_closed``, forms each of g_j, r_i
+    (i >= 2) and m_i from one G_p array (through n_max + 1 for m_i, whose
+    reduced form is (n+1) G_p(n+1) / (k! p k!^(c_i))) and keeps no array.
+    Each sequence is checked against an identity at every n <= n_max before
+    it is stored, comparing reduced values with no loss (``*`` is the
+    labelled convolution; one comparer, ``_check_identity``, checks every
+    identity; it multiplies each factor's residue class of n modulo k - 1
+    only, every n at k = 2, refusing a factor non-zero off it; it forms
+    every ``*`` by ``_packed_product``, which evaluates blocks of each
+    sequence at x = 10^h and -10^h in operands sized from the product):
 
     * forest tower ``g_j = g_{floor(j/2)} * g_{ceil(j/2)}``, with g_1 = t;
       g_j for j <= k is built at construction, larger j by
       ``forest_count``, which builds only the O(log j) halves below it;
-    * composition totals ``g_k = k! t``;
-    * root ranks ``k! r_1 = g_k``, the stored g_k, no product (the tower
-      checked g_k = t^{*k} down to t), and ``k! r_i = r_{i-1}^{*k}``, i >= 2;
+    * root ranks ``k! r_1 = g_k``, no product, r_1 being t off n = 1 (T = x +
+      T^k/k!) stored at construction, and ``k! r_i = r_{i-1}^{*k}``, i >= 2;
     * rank-at-least ``m_i = r_i + m_i * f_{k-1}``.
 
     Every query lifts its stored value back to an ``int`` count, times
@@ -544,7 +545,10 @@ class CountTable:
         for j in range(1, k + 1):
             self._forest_tower(j)
         self._t = self._g[1]
-        self._verify_composition_totals()
+        # a tree is one leaf or a root over k subtrees: r_1 is t off n = 1
+        r_1 = [_ZERO, _ZERO, *self._t[2:]]
+        self._check_identity("root-rank count", "r_1", r_1, [(f"g_{k}", self._g[k])],
+                             scale=self._kfac)
         # forests of k-1 trees (unordered), used by the rank-at-least identity
         with localcontext(_EXACT):
             self._fkm1 = [_exact_div(v, factorial(k - 1), f"f_{k - 1}({n})")
@@ -556,7 +560,7 @@ class CountTable:
         while k ** (self._top_rank + 1) <= n_max:
             self._top_rank += 1
         self._zeros = (_ZERO,) * (n_max + 1)
-        self._r: dict[int, Sequence[Decimal]] = {0: self._t}
+        self._r: dict[int, Sequence[Decimal]] = {0: self._t, 1: r_1}
         self._m: dict[int, Sequence[Decimal]] = {}
 
     # ----- closed forms -------------------------------------------------
@@ -594,9 +598,9 @@ class CountTable:
         factors and ``plus`` (default 0) are reduced sequences, so the Cauchy
         product ``*`` is the labelled convolution of the counts.  A factor
         repeated as the same list takes the squaring path.  Every product is
-        ``_packed_product``'s.  At k >= 3 each product runs on the images
-        [0] + f[lo::k-1] (y = x^(k-1)) of factors f first non-zero at lo, and a
-        factor non-zero off that class raises."""
+        ``_packed_product``'s, on the images [0] + f[lo::k-1] (y = x^(k-1)) of
+        factors f first non-zero at lo; a factor non-zero off that class
+        raises.  At k = 2 the class is every n."""
         step, upto = self.k - 1, self.n_max
 
         def image(fname: str, f: Sequence[Decimal]) -> tuple[int, list[Decimal]]:
@@ -611,9 +615,6 @@ class CountTable:
 
         rhs = factors[0][1]
         for fname, factor in factors[1:]:
-            if step == 1:  # every n is on the class: no image, no copy
-                rhs = _packed_product(rhs, factor, upto)
-                continue
             a, x = image(factors[0][0], rhs)
             b, y = (a, x) if factor is rhs else image(fname, factor)
             w = _packed_product(x, y, max(0, (upto - a - b) // step + 2))
@@ -629,18 +630,6 @@ class CountTable:
                         f"breaks its convolution identity ({left} != {right}, all reduced)"
                     )
 
-    def _verify_composition_totals(self) -> None:
-        """g_k(n) = k! * t(n) at every 2 <= n <= n_max: the k root subtrees of
-        a tree, put in order, are one ordered k-forest."""
-        g_k = self._g[self.k]
-        with localcontext(_EXACT):
-            for n in range(2, self.n_max + 1):
-                if g_k[n] != self._kfac * self._t[n]:
-                    raise ConsistencyError(
-                        f"reduced ordered {self.k}-forest count at n={n} is {g_k[n]}, "
-                        f"expected k!*t = {self._kfac * self._t[n]}"
-                    )
-
     def _forest_tower(self, j: int) -> list[Decimal]:
         """g_j, built, checked against g_{floor(j/2)} * g_{ceil(j/2)} (g_1 = t
         has no halves) and stored on first use, the missing halves first."""
@@ -653,15 +642,13 @@ class CountTable:
         return self._g[j]
 
     def _get_r(self, i: int) -> Sequence[Decimal]:
-        """r_i, built, checked and stored on first use: k! r_1 against the
-        stored g_k, which the forest tower has checked down to t, and k! r_i
-        against r_{i-1}^{*k} for i >= 2, r_{i-1} first."""
+        """r_i, built, checked against k! r_i = r_{i-1}^{*k} and stored on
+        first use, r_{i-1} first; r_0 = t and r_1 are stored at construction."""
         if i > self._top_rank:
             return self._zeros
         if i not in self._r:
-            k = self.k
-            below = [(f"g_{k}", self._g[k])] if i == 1 else [(f"r_{i - 1}", self._get_r(i - 1))] * k
-            closed = self._closed(f"r_{i}", k**i, self._kfac ** c_index(k, i))
+            below = [(f"r_{i - 1}", self._get_r(i - 1))] * self.k
+            closed = self._closed(f"r_{i}", self.k**i, self._kfac ** c_index(self.k, i))
             self._check_identity("root-rank count", f"r_{i}", closed, below, scale=self._kfac)
             self._r[i] = closed
         return self._r[i]

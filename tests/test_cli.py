@@ -403,6 +403,21 @@ def test_limits_digit_bound(capsys, monkeypatch, command, k, last_admitted):
         main([*argv, str(last_admitted + offset)])
 
 
+def test_verify_order_bound(capsys, monkeypatch):
+    # one order above the bound is refused before any table or series is
+    # built; the bound itself runs and passes
+    argv = ["verify", "--k", "2", "--n-max", "1", "--order"]
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "CountTable", _reached)
+        patched.setattr(seriesoracle, "solve_T", _reached)
+        for refused in (cli.VERIFY_MAX_ORDER + 1, 10**12):
+            code, out, err = run(capsys, *argv, str(refused))
+            assert code == 2 and out == ""
+            assert f"over the bound of {cli.VERIFY_MAX_ORDER}" in err
+    code, out, _ = run(capsys, *argv, str(cli.VERIFY_MAX_ORDER))
+    assert code == 0 and out.endswith("\nPASS\n")
+
+
 def test_removed_workers_option_is_a_usage_error():
     with pytest.raises(SystemExit) as err:
         main(["sample", "--k", "2", "--n", "5", "--count", "1", "--workers", "2"])

@@ -493,28 +493,20 @@ def test_dual_route_tripwire_fires_on_corruption():
         table.rank_ge_count(1, 8)
 
 
-@pytest.mark.parametrize("k", [2, 3])
-def test_root_rank_check_reads_the_stored_g_k(k):
-    # the tower has checked g_k at construction; a stored g_k changed after
-    # that must still fail the check of k! r_1 = g_k, at the n it changed
-    table = CountTable(k, 13)
-    table._g[k][7] += 1
-    with pytest.raises(ConsistencyError, match=r"root-rank count at n=7: closed form r_1\(7\)"):
-        table.root_rank_count(1, 13)
-
-
 # Every fault below is injected through one seam: CountTable._closed, the
 # builder of every closed sequence, returns the sequence named ``seq`` off by
-# ``delta`` at n.  The public query that builds a sequence of each kind:
+# ``delta`` at n.  r_1 has no closed form: it is t = g_1 off n = 1, so its
+# fault is one in g_1.  The public query that builds a sequence of each kind:
 _QUERY = {"g": "forest_count", "r": "root_rank_count", "m": "rank_ge_count"}
 
 
 def _corrupt(monkeypatch, seq, n, delta=1):
     closed = CountTable._closed
+    source = "g_1" if seq == "r_1" else seq
 
     def corrupt(self, name, *args, **kwargs):
         out = closed(self, name, *args, **kwargs)
-        if name == seq:
+        if name == source:
             assert out[n], f"{seq}({n}) is 0 already"
             out[n] = exactcount._EXACT.add(out[n], delta)
         return out
@@ -523,10 +515,11 @@ def _corrupt(monkeypatch, seq, n, delta=1):
 
 
 def test_composition_total_tripwire(monkeypatch):
-    # g_k must equal k! * t at every n: a corrupt closed t = g_1 at n_max
-    # escapes the tower check g_2 = t * t, which reads t below n_max only
+    # g_k must equal k! r_1, r_1 being t off n = 1, at every n: a corrupt
+    # closed t = g_1 at n_max escapes the tower check g_2 = t * t, which
+    # reads t below n_max only
     _corrupt(monkeypatch, "g_1", 12)
-    with pytest.raises(ConsistencyError, match=r"^reduced ordered 2-forest count at n=12 "):
+    with pytest.raises(ConsistencyError, match=r"^root-rank count at n=12: closed form r_1\(12\)"):
         CountTable(2, 12)
 
 
@@ -549,10 +542,10 @@ def test_forest_count_checks_the_tower_below_it(monkeypatch):
 
 
 def test_root_rank_check_fires_on_corruption(monkeypatch):
-    _corrupt(monkeypatch, "r_1", 6)
-    table = CountTable(2, 12)
-    with pytest.raises(ConsistencyError, match=r"r_1\(6\)"):
-        table.root_rank_count(1, 12)
+    # r_1 is checked at construction, before any query
+    _corrupt(monkeypatch, "r_1", 13)
+    with pytest.raises(ConsistencyError, match=r"r_1\(13\)"):
+        CountTable(3, 13)
 
 
 # Each closed form corrupted by one at the first n where it is nonzero and at
@@ -580,7 +573,10 @@ def test_forest_tower_check_covers_both_ends(monkeypatch, k, j, n_first, at_end)
 @pytest.mark.parametrize("k,i,n_first", [(2, 1, 2), (2, 2, 4), (3, 1, 3)])
 @pytest.mark.parametrize("at_end", [False, True], ids=["first_nonzero", "n_max"])
 def test_root_rank_check_covers_both_ends(monkeypatch, k, i, n_first, at_end):
-    _check_fires_at_both_ends(monkeypatch, k, "r", i, n_first, at_end, 13, "root-rank count")
+    # a fault in t below n_max meets the tower g_2 = t * t first, so the
+    # first-nonzero case of r_1 is a table that ends at n_first
+    n_max = n_first if i == 1 and not at_end else 13
+    _check_fires_at_both_ends(monkeypatch, k, "r", i, n_first, at_end, n_max, "root-rank count")
 
 
 @pytest.mark.parametrize("k,i,n_first", [(2, 0, 1), (2, 1, 2), (2, 2, 4), (3, 1, 3)])
@@ -662,7 +658,8 @@ def test_reduced_product_is_the_labelled_convolution(k):
 # (which keeps f_{k-1} = g_{k-1} / (k-1)! exact) is no multiple of
 # d = k!^n/gcd(n!, k!^n) at these n, so it does not lift to a count: with the
 # identity checks off, the query's lift refuses it.  One off by d lifts to an
-# integer, and the product comparison must see it.
+# integer, and the identity's comparison must see it.  Each fault is at the
+# table's last n, the one n at which only r_1's check reads t.
 
 
 @pytest.mark.parametrize(
@@ -679,7 +676,7 @@ def test_identity_check_fires_on_both_routes(monkeypatch, k, seq, idx, n, route)
     name = rf"{seq}_{idx}\({n}\) = \d+"
     message = f"{name} is no count" if route == "inexact" else f"closed form {name} breaks"
     with pytest.raises(ConsistencyError, match=rf"at n={n}: {message}"):
-        table = CountTable(k, 13)
+        table = CountTable(k, n)
         getattr(table, _QUERY[seq])(idx, n)
 
 
@@ -786,6 +783,17 @@ def test_reduced_builder_matches_the_lagrange_form(k):
         built = exactcount._forest_count_array(k, p, 200)
         assert built[0] == 0
         assert built[1:] == [factorial(k) ** n * coeff_T_pow(k, p, n) for n in range(1, 201)]
+
+
+def test_a_forest_count_past_its_range_forms_no_power(monkeypatch):
+    # G_p is 0 below n = p: no factorial, let alone k!^p or k!^(k-2), is
+    # formed, so a large k at small n_max costs nothing per g_j
+    def refuse(n):
+        raise AssertionError(f"{n}! formed")
+
+    monkeypatch.setattr(exactcount, "factorial", refuse)
+    assert exactcount._forest_count_array(20_000, 20_000, 1) == [0, 0]
+    assert exactcount._forest_count_array(3, 2, 1) == [0, 0]
 
 
 def test_term_ratio_refuses_an_inexact_step(monkeypatch):
@@ -922,7 +930,7 @@ def test_packed_product_of_the_table_sequences(k):
 
 @pytest.mark.parametrize(
     "k,seq",
-    [(2, "g_2"), (2, "r_1"), (3, "r_1"), (2, "r_2"), (3, "r_2"), (2, "m_1"), (3, "m_1")],
+    [(2, "g_2"), (2, "r_2"), (3, "r_2"), (2, "m_1"), (3, "m_1")],
 )
 @pytest.mark.parametrize("at", ["half", "n_max"])
 def test_packed_checks_fail_like_the_quadratic_ones(monkeypatch, k, seq, at):
@@ -1068,6 +1076,8 @@ def test_residue_class_images_pass_every_identity(monkeypatch, k, route):
 
 
 def test_k2_products_run_on_the_stored_lists(monkeypatch):
+    # at k = 2 every n is on the class: an image is [0] and the stored terms
+    # from the first non-zero one on, the terms themselves, not copies
     calls = []
     product = exactcount._packed_product
     monkeypatch.setattr(
@@ -1076,14 +1086,17 @@ def test_k2_products_run_on_the_stored_lists(monkeypatch):
     table = CountTable(2, 30)
     table.rank_ge_count(1, 30)
     (t, t_again), (m_1, f_1) = calls  # g_2's one square, then m_1; r_1 forms none
-    assert t is t_again is table._t
-    assert m_1 is table._get_m(1) and f_1 is table._fkm1
+    assert t is t_again
+    for image, stored in ((t, table._t), (m_1, table._get_m(1)), (f_1, table._fkm1)):
+        lo = next(n for n, x in enumerate(stored) if x)
+        assert image[0] == 0 and len(image) == len(stored) - lo + 1
+        assert all(x is y for x, y in zip(image[1:], stored[lo:]))
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_root_rank_one_forms_no_product(monkeypatch, k):
-    # k! r_1 is compared with the stored g_k, which the tower has checked
-    # down to t; k! r_2 = r_1^{*k} still takes its k - 1 products
+    # r_1 is t off n = 1, checked against g_k at construction with no
+    # product; k! r_2 = r_1^{*k} still takes its k - 1 products
     table = CountTable(k, 31)
     calls = []
     for name in ("_cauchy_product", "_packed_product"):
@@ -1095,6 +1108,28 @@ def test_root_rank_one_forms_no_product(monkeypatch, k):
     assert calls == []
     table.root_rank_count(2, 31)
     assert len(calls) == k - 1
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_root_rank_one_builds_no_closed_form(monkeypatch, k):
+    # r_1 is stored at construction: its queries build no sequence
+    table = CountTable(k, 31)
+    closed, built = CountTable._closed, []
+    monkeypatch.setattr(
+        CountTable, "_closed", lambda self, name, *a: built.append(name) or closed(self, name, *a)
+    )
+    expected = [coeff_T_pow(k, k, n) * factorial(n) / factorial(k) for n in range(1, 32)]
+    assert [table.root_rank_count(1, n) for n in range(1, 32)] == expected
+    assert built == []
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_a_fault_in_t_at_n_max_is_refused_as_r_1(monkeypatch, k):
+    # the tower reads t below n_max only; k! r_1 = g_k reads it at n_max too,
+    # at construction
+    _corrupt(monkeypatch, "g_1", 13)
+    with pytest.raises(ConsistencyError, match=r"^root-rank count at n=13: closed form r_1\(13\)"):
+        CountTable(k, 13)
 
 
 # Every reduced term is an exact Decimal integer, and all arithmetic on the
