@@ -126,7 +126,7 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
 """The one context of all arithmetic on reduced terms, whatever the caller's: integers of any
 size are exact, and an operation that would round raises instead."""
 
-_ZERO = Decimal(0)
+_ZERO, _ONE = Decimal(0), Decimal(1)
 
 
 def _forest_count_array(k: int, p: int, upto: int) -> list[Decimal]:
@@ -213,22 +213,35 @@ def _packed_product(u: Sequence[Decimal], v: Sequence[Decimal], upto: int) -> li
     in the 2h digits that end h j digits from its right.  w(n) sums slot n - s of the two s that
     reach n.  A slot read sums fewer than upto terms, so it cannot overflow D = digits(upto) +
     digits(u(i)) + digits(v(i')) for the largest of them, and h = ceil(D/2); carries run upward
-    only.  Each term is written with ``str()`` and each slot read back as ``Decimal(text)``, both
-    linear in the digits; all arithmetic is in ``_EXACT``."""
+    only.  E and O are packed by pairing neighbours level by level, lo + hi 10^w with w
+    doubling.  Each parity drops its digits above the last slot read, then splits in halves,
+    the high one by ``shift`` of the coefficient and the low one by one ``subtract``, down to
+    single slots.  Every step is exact arithmetic in ``_EXACT``, linear in the digits."""
     nu = [x.adjusted() + 1 for x in u[:upto + 1]]  # digits of u(i); top[j] those of max v(0..j)
     top = list(accumulate(nu if v is u else (x.adjusted() + 1 for x in v[:upto + 1]), max))
+    upto_digits = Decimal(upto).adjusted() + 1
 
     def half(a: int, b: int, size: int) -> int:  # h = ceil(D/2) of the blocks at a and b
         rows = range(a, min(a + size, upto + 1 - b))
         terms = (nu[i] + top[min(b + size - 1, upto - i)] for i in rows)
-        return (max(terms, default=2) + len(str(upto)) + 1) // 2
+        return (max(terms, default=2) + upto_digits + 1) // 2
+
+    def pack(terms: list[Decimal], width: int) -> Decimal:  # sum_j terms[j] 10^(width j)
+        while len(terms) > 1:
+            paired = [_EXACT.add(lo, _EXACT.scaleb(hi, width))
+                      for lo, hi in zip(terms[::2], terms[1::2])]
+            terms = paired + terms[2 * len(paired):]  # an odd one out moves up as it is
+            width *= 2
+        return terms[0] if terms else _ZERO
 
     def points(seq: Sequence[Decimal], lo: int, hi: int, h: int) -> tuple[Decimal, Decimal]:
-        even, odd = (  # E and O of the block seq[lo:hi]
-            Decimal("".join(str(c).zfill(2 * h) for c in reversed(seq[i:hi:2])) + zeros)
-            for i, zeros in ((lo, ""), (lo + 1, "0" * h))
-        )
+        even = pack(seq[lo:hi:2], 2 * h)  # E and O of the block seq[lo:hi]
+        odd = _EXACT.scaleb(pack(seq[lo + 1:hi:2], 2 * h), h)
         return _EXACT.add(even, odd), _EXACT.subtract(even, odd)
+
+    def split(x: Decimal, digits: int) -> tuple[Decimal, Decimal]:  # x = high 10^digits + low
+        high = _EXACT.shift(x, -digits)
+        return high, _EXACT.subtract(x, _EXACT.scaleb(high, digits)) if high else x
 
     # a block's evaluations have at most h (size + 1) digits, within the budget
     h = half(1, 1, upto)
@@ -246,19 +259,26 @@ def _packed_product(u: Sequence[Decimal], v: Sequence[Decimal], upto: int) -> li
                 y = tuple(_EXACT.add(c, c) for c in y)
             plus = _EXACT.fma(x[0], y[0], plus)
             minus = _EXACT.fma(x[1], y[1], minus)
-        del x, y  # only the sums are left when they are unpacked
-        slots = _EXACT.divide_int(_EXACT.add(plus, minus), 2)  # the even slots
+        del x, y  # only the sums are left when they are read
+        even = _EXACT.divide_int(_EXACT.add(plus, minus), 2)  # (P+ + P-)/2
         del plus
-        for parity in (0, 1):
-            if parity:  # (P+ + P-)/2 - P- = (P+ - P-)/2
-                slots = _EXACT.subtract(slots, minus)
-                del minus
-            digits = str(slots)
-            for n in range(s + parity, min(upto, s + 2 * size - 2) + 1, 2):
-                end = len(digits) - (n - s) * h
-                if end > 0:
-                    out[n] = _EXACT.add(out[n], Decimal(digits[max(0, end - 2 * h):end]))
-            del digits
+        odd = _EXACT.shift(_EXACT.subtract(even, minus), -h)  # (P+ - P-)/2 less its h zeros
+        del minus
+        last = min(upto, s + 2 * size - 2)  # the last n that a slot of this s reaches
+        count = (last - s) // 2 + 1, (last - s + 1) // 2  # the slots read of either parity
+        # (x, n, c): slot j of x, its 2h digits from 2h j up, adds to w(n + 2j) for j < c
+        stack = [(split(even, 2 * h * count[0])[1], s, count[0])]
+        del even  # each value is freed as soon as it has been split
+        stack.append((split(odd, 2 * h * count[1])[1], s + 1, count[1]))
+        del odd
+        while stack:
+            x, n, c = stack.pop()
+            if c > 1:
+                m = c // 2
+                high, low = split(x, 2 * h * m)
+                stack += (high, n + 2 * m, c - m), (low, n, m)
+            elif c:
+                out[n] = _EXACT.add(out[n], x)
     return out
 
 
@@ -468,7 +488,7 @@ by :func:`_table_bytes`.  The tests' largest table, ``CountTable(2, 2001)``,
 is estimated at about 8 MB; k = 2 is refused from n = 10,361 on.  A
 larger table raises :class:`DomainError` before anything is allocated.  The
 checks' scratch is inside the bound: ``count --k 2 --n 10360``, the largest
-k = 2 table admitted, peaks at 147 MB of resident memory, checks included."""
+k = 2 table admitted, peaks at 129 MB of resident memory, checks included."""
 
 
 def _table_bytes(k: int, n_max: int) -> int:
@@ -538,6 +558,8 @@ class CountTable:
         self.k = k
         self.n_max = n_max
         self._kfac = factorial(k)
+        # k! for the checks, converted once: a conversion is quadratic in the digits
+        self._kfac_exact = Decimal(self._kfac)
 
         # reduced ordered j-forest counts G_j, j = 1..k now, larger j on
         # demand by forest_count
@@ -548,10 +570,11 @@ class CountTable:
         # a tree is one leaf or a root over k subtrees: r_1 is t off n = 1
         r_1 = [_ZERO, _ZERO, *self._t[2:]]
         self._check_identity("root-rank count", "r_1", r_1, [(f"g_{k}", self._g[k])],
-                             scale=self._kfac)
+                             scale=self._kfac_exact)
         # forests of k-1 trees (unordered), used by the rank-at-least identity
         with localcontext(_EXACT):
-            self._fkm1 = [_exact_div(v, factorial(k - 1), f"f_{k - 1}({n})")
+            kfac_m1 = self._kfac_exact // k  # (k-1)!
+            self._fkm1 = [_exact_div(v, kfac_m1, f"f_{k - 1}({n})")
                           for n, v in enumerate(self._g[k - 1])]
 
         # the tallest possible rank: a vertex of rank i has at least k^i
@@ -590,7 +613,7 @@ class CountTable:
         name: str,
         closed: Sequence[Decimal],
         factors: Sequence[tuple[str, Sequence[Decimal]]],
-        scale: int = 1,
+        scale: Decimal = _ONE,
         plus: Sequence[Decimal] | None = None,
     ) -> None:
         """Raise unless scale closed(n) = plus(n) + (f_1 * ... * f_r)(n) for
@@ -649,7 +672,8 @@ class CountTable:
         if i not in self._r:
             below = [(f"r_{i - 1}", self._get_r(i - 1))] * self.k
             closed = self._closed(f"r_{i}", self.k**i, self._kfac ** c_index(self.k, i))
-            self._check_identity("root-rank count", f"r_{i}", closed, below, scale=self._kfac)
+            self._check_identity("root-rank count", f"r_{i}", closed, below,
+                                 scale=self._kfac_exact)
             self._r[i] = closed
         return self._r[i]
 

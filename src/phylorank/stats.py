@@ -132,34 +132,44 @@ def estimate_rank_distribution(
 def _chi_square_sf(x: float, df: int) -> float:
     """P(X > x) for chi-square X, integer df > 0, x > 0 (Abramowitz & Stegun
     26.4): erfc(sqrt(x/2)) if df is odd, plus (x/2)^s e^(-x/2) / Gamma(s+1) for
-    s = df%2/2 + j, j < df//2, each term formed in log space so none overflows."""
+    s = df%2/2 + j, j < df//2.  The first term is formed in log space and each
+    next one as a running product, times y/(j + df%2/2) with y = x/2, so the
+    terms cost one multiplication each."""
     y = x / 2
     half = (df % 2) / 2
-    terms = [
-        math.exp((j + half) * math.log(y) - y - math.lgamma(j + half + 1))
-        for j in range(df // 2)
-    ]
-    if half:
-        terms.append(math.erfc(math.sqrt(y)))
-    return math.fsum(terms)
+    scale = half * math.log(y) - y - math.lgamma(half + 1)  # log of the first term
+    total, term = 0.0, 1.0  # the sum so far and the next term, both over e^scale
+    for j in range(1, df // 2 + 1):
+        total += term
+        term *= y / (j + half)
+        if term > 2.0**900:  # move 2^900 into the scale, so that no term overflows
+            total, term, scale = total / 2.0**900, term / 2.0**900, scale + 900 * math.log(2)
+    sf = math.exp(scale + math.log(total)) if total else 0.0
+    return sf + math.erfc(math.sqrt(y)) if half else sf
 
 
 def chi_square_critical(significance: float, df: int) -> float:
     """Upper critical value of the chi-square distribution: the x with
-    P(X > x) = significance, by bisection until the bracket stops shrinking."""
+    P(X > x) = significance, by Newton steps on log P(X > x), nearly linear in
+    the tail, from x = df.  Every evaluated x narrows a bracket of the root; a
+    step that leaves the bracket is replaced by bisection (or by doubling x
+    while there is no upper end), and the steps stop at a few ulps."""
     if df < 1:
         raise DomainError("degrees of freedom must be >= 1")
     if not 0 < significance < 1:
         raise DomainError("significance must be in (0, 1)")
-    lo, hi = 0.0, float(df)
-    while _chi_square_sf(hi, df) > significance:
-        lo, hi = hi, 2 * hi
-    while lo < (mid := (lo + hi) / 2) < hi:
-        if _chi_square_sf(mid, df) > significance:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    lo, hi, x = 0.0, math.inf, float(df)
+    while True:
+        sf, y = _chi_square_sf(x, df), x / 2
+        lo, hi = (x, hi) if sf > significance else (lo, x)
+        density = math.exp((df / 2 - 1) * math.log(y) - y - math.lgamma(df / 2)) / 2
+        # a Newton step on log P(X > x), nan where the tail is too thin for a float
+        step = math.log(sf / significance) * sf / density if sf and density else math.nan
+        if abs(step) <= 4 * math.ulp(x):
+            return x + step
+        x = x + step if lo < x + step < hi else 2 * x if hi == math.inf else (lo + hi) / 2
+        if not lo < x < hi:  # the bracket is two neighbouring floats
+            return hi
 
 
 @dataclass(frozen=True)

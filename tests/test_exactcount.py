@@ -957,8 +957,8 @@ def test_packed_checks_fail_like_the_quadratic_ones(monkeypatch, k, seq, at):
 
 
 # The kernel's slot reads and operand sizes.  Each term's digit count is its
-# adjusted() + 1, and each slot is read back as Decimal(text), which no
-# int/str digit limit bounds.
+# adjusted() + 1, and each slot is split off its sum by shift and subtract on
+# the coefficient, which no int/str digit limit bounds.
 
 
 def test_slots_are_read_under_the_lowest_digit_limit():
@@ -1036,6 +1036,68 @@ def test_no_operand_exceeds_the_budget(monkeypatch, request, n):
         top = list(accumulate(nv, max))
         h = (max(nu[i] + top[n - i] for i in range(1, n)) + len(str(n)) + 1) // 2
         assert exactcount.PACK_DIGITS < biggest <= 2 * (n + 1) * h // exactcount.PACK_SHARE
+
+
+def _blocks_of(monkeypatch, size, u, v, upto):
+    """Make ``_packed_product(u, v, upto)`` cut blocks of ``size`` indices (None: one block)."""
+    if size is not None:
+        h = (len(str(max(u))) + len(str(max(v))) + len(str(upto)) + 1) // 2
+        monkeypatch.setattr(exactcount, "PACK_DIGITS", h * (size + 1))
+        monkeypatch.setattr(exactcount, "PACK_SHARE", NO_GROWTH)
+
+
+@pytest.mark.parametrize("size", [1, 3, 8, None], ids=["size1", "size3", "size8", "one_block"])
+def test_every_product_term_is_an_exponent_0_decimal(monkeypatch, size):
+    # shift acts on the coefficient, so a slot is only its digits when every
+    # value it is split from has exponent 0
+    rng = random.Random(f"exponent {size}")
+    for upto in (0, 1, 2, 17, 40):
+        u, v = _random_sequence(rng, upto, 25, 0.3), _random_sequence(rng, upto, 25, 0.3)
+        for x, y in ((u, v), (u, u)):
+            _blocks_of(monkeypatch, size, x, y, upto)
+            packed = _packed(x, y, upto)
+            assert packed == _cauchy_product(x, y, upto)
+            assert all(type(w) is Decimal and w.as_tuple().exponent == 0 for w in packed)
+
+
+class _SignSpy(_MultiplicationSpy):
+    """Also keeps whether either operand of each ``fma`` is negative."""
+
+    def fma(self, x, y, z):
+        self.operands.append(x.is_signed() or y.is_signed())
+        return self.context.fma(x, y, z)
+
+
+@pytest.mark.parametrize("size", [2, 4, None], ids=["size2", "size4", "one_block"])
+def test_a_negative_minus_point_gives_the_right_product(monkeypatch, size):
+    # large terms at even n and small ones at odd n: a block of an even number
+    # of rows that starts at an odd index has its top term in O, so O > E, and
+    # its value at x = -10^h, E - O 10^h, is negative
+    upto = 31
+    u = [0] + [10**30 - 7 if n % 2 == 0 else n for n in range(1, upto + 1)]
+    v = [0] + [10**20 + n if n % 2 == 0 else 3 for n in range(1, upto + 1)]
+    for x, y in ((u, v), (u, u)):
+        expected = _cauchy_product(x, y, upto)
+        _blocks_of(monkeypatch, size, x, y, upto)
+        spy = _SignSpy(exactcount._EXACT)
+        monkeypatch.setattr(exactcount, "_EXACT", spy)
+        assert _packed(x, y, upto) == expected
+        monkeypatch.undo()
+        assert any(spy.operands)
+
+
+@pytest.mark.parametrize("size", [2, 3, 4, 7])
+def test_the_digits_above_the_last_slot_are_dropped_at_every_block_edge(monkeypatch, size):
+    # all nines, and terms past upto: the blocks that the last rows cut short
+    # still multiply out past upto, so a sum of slots holds non-zero digits
+    # above its last slot read; upto ends the last block at every offset
+    for upto in range(2, 3 * size + 4):
+        u = [0] + [10**12 - 1] * (upto + 5)
+        v = [0] + [10**9 - 1] * (upto + 5)
+        assert any(_cauchy_product(u, v, 2 * upto)[upto + 1:])
+        for x, y in ((u, v), (u, u)):
+            _blocks_of(monkeypatch, size, x, y, upto)
+            assert _packed(x, y, upto) == _cauchy_product(x, y, upto)
 
 
 # At k >= 3 each check maps its factors onto their residue class of n modulo

@@ -123,6 +123,18 @@ def test_chi_square_critical_matches_reference_quantiles():
             assert abs(got - expected) <= 1e-10 * expected, (significance, df)
 
 
+def test_chi_square_critical_where_a_term_leaves_the_float_range():
+    # from df of about 1,300 on, the running product of the survival
+    # function's terms passes 2^900 and is rescaled; from about 1,500 on,
+    # e^(-x/2) underflows as well
+    chi2 = pytest.importorskip("scipy.stats").chi2
+    for df in (2_000, 20_001, 99_999):
+        for significance in (1e-6, 0.05, 0.5):
+            expected = chi2.isf(significance, df)
+            got = chi_square_critical(significance, df)
+            assert abs(got - expected) <= 1e-10 * expected, (significance, df)
+
+
 def test_chi_square_critical_domain_errors():
     for significance, df in ((0.05, 0), (0.0, 3), (1.0, 3)):
         with pytest.raises(DomainError):
