@@ -19,7 +19,7 @@ import sys
 from math import log10
 from typing import Sequence
 
-from . import bruteforce, seriesoracle, stats
+from . import bruteforce, checks, stats
 from .errors import ConsistencyError, DomainError, PhyloRankError, require_int
 from .exactcount import (
     CountTable,
@@ -29,7 +29,7 @@ from .exactcount import (
 )
 from .render import decimal_str, exact, fraction_str
 from .sampler import sample_batch
-from .treecore import RankCensus, to_newick
+from .treecore import to_newick
 
 # largest integer an exact limit prints, in digits: rendering is quadratic in
 # the digit count (about 2 s for k=2, rank 18: 157,826 digits)
@@ -180,15 +180,6 @@ def _cmd_convergence(args) -> int:
 def _cmd_verify(args) -> int:
     """Run the self-verification suite and print one line per check."""
     k, n_max, order = args.k, args.n_max, args.order
-    failures = 0
-    lines: list[str] = []
-
-    def check(name: str, ok: bool) -> None:
-        nonlocal failures
-        lines.append(f"{'PASS' if ok else 'FAIL'} {name}")
-        if not ok:
-            failures += 1
-
     # Refuse bad input before building or enumerating anything: n_max, the
     # order and its bound, the table's size bound (arithmetic only), then the
     # enumeration cap, n upward.  t grows with n, so the scan stops at the
@@ -202,58 +193,17 @@ def _cmd_verify(args) -> int:
     for n in range(1, n_max + 1):
         bruteforce.require_within_cap(k, n)
     table = CountTable(k, max(n_max, order))
-
-    # triple agreement: enumeration vs recurrence/closed table, per n, in one
-    # enumeration pass that also counts (and optionally dumps) the trees
-    dump_lines: list[str] = []
-    for n in range(1, n_max + 1):
-        count = 0
-
-        def enumerated():
-            nonlocal count
-            for tree in bruteforce.enumerate_all(k, n):
-                count += 1
-                if args.dump_newick:
-                    dump_lines.append(to_newick(tree))
-                yield tree
-
-        brute = RankCensus.of_trees(k, n, enumerated(), max_rank=3)
-        check(
-            f"triple agreement at n={n}",
-            brute == table.rank_census(n, 3) and count == table.tree_count(n),
-        )
     if args.dump_newick:
-        _emit("".join(line + "\n" for line in dump_lines), args.dump_newick)
+        trees = (tree for n in range(1, n_max + 1) for tree in bruteforce.enumerate_all(k, n))
+        _emit("".join(to_newick(tree) + "\n" for tree in trees), args.dump_newick)
 
-    # series identities at the requested truncation order
-    check(f"compositional inverse through order {order}", seriesoracle.verify_inverse(k, order))
-    for i in range(3):
-        R = seriesoracle.oracle_R(k, i, order)
-        ok = all(R.labeled(n) == table.root_rank_count(i, n) for n in range(1, order + 1))
-        check(f"root-rank series identity i={i}", ok)
-        M = seriesoracle.oracle_M(k, i, order)
-        ok = all(M.labeled(n) == table.rank_ge_count(i, n) for n in range(1, order + 1))
-        check(f"rank-at-least series identity i={i}", ok)
-        check(
-            f"polynomial split identity i={i}",
-            seriesoracle.verify_theorem_decomposition(k, i, order),
-        )
-
-    # sampler uniformity on the smallest interesting support
-    n_chi = next(
-        (n for n in range(2, n_max + 1) if 3 <= table.tree_count(n) <= 200), None
-    )
-    if n_chi is not None:
-        rep = stats.chi_square_uniformity(k, n_chi, samples=3000, base_seed=args.seed)
-        check(
-            f"chi-square uniformity at n={n_chi} "
-            f"(stat {rep.statistic:.2f} < {rep.critical:.2f})",
-            rep.passed,
-        )
-
-    lines.append("FAIL" if failures else "PASS")
-    _emit("\n".join(lines) + "\n", args.output)
-    return 3 if failures else 0
+    results = [(f"triple agreement at n={n}", checks.triple_agreement(table, n))
+               for n in range(1, n_max + 1)]
+    results += checks.series_identities(table, order) + checks.chi_square(table, n_max, args.seed)
+    failed = not all(passed for _, passed in results)
+    lines = [f"{'PASS' if passed else 'FAIL'} {name}" for name, passed in results]
+    _emit("\n".join([*lines, "FAIL" if failed else "PASS"]) + "\n", args.output)
+    return 3 if failed else 0
 
 
 # -------------------------------------------------------------------- parser

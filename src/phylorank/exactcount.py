@@ -243,14 +243,14 @@ def _packed_product(u: Sequence[Decimal], v: Sequence[Decimal], upto: int) -> li
         high = _EXACT.shift(x, -digits)
         return high, _EXACT.subtract(x, _EXACT.scaleb(high, digits)) if high else x
 
-    # a block's evaluations have at most h (size + 1) digits, within the budget
+    # a block's evaluations have at most h (size + 1) digits, within the budget; one pair keeps h
     h = half(1, 1, upto)
     budget = PACK_DIGITS << (((upto + 1) * h - 1) // (PACK_SHARE * PACK_DIGITS)).bit_length()
     size = max(1, budget // h - 1)
     out = [_ZERO] * (upto + 1)
     for s in range(2, upto + 1, size):
         pairs = [(a, s - a) for a in range(1, s, size) if v is not u or 2 * a <= s]
-        h = max(half(a, b, size) for a, b in pairs)
+        h = max(half(a, b, size) for a, b in pairs) if size < upto - 1 else h
         plus = minus = _ZERO
         for a, b in pairs:
             x = points(u, a, min(a + size, upto + 1 - b), h)

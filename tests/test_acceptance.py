@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from phylorank import bruteforce, seriesoracle
+from phylorank import bruteforce, checks
 from phylorank.exactcount import (
     CountTable,
     log_concavity_check,
@@ -45,30 +45,7 @@ def _report(name: str, ok: bool) -> bool:
 def test_criterion_1_triple_oracle_agreement(k, n_max):
     """Enumeration vs integer recurrences vs closed forms, exactly."""
     table = CountTable(k, n_max)  # recurrence-vs-closed asserted internally
-    ok = True
-    for n in range(1, n_max + 1):
-        trees = 0
-        m = [0] * 5  # vertices of rank >= i
-        r = [0] * 5  # trees whose root has rank >= i
-        e = [0] * 4  # vertices of rank exactly i
-        for tree in bruteforce.enumerate_all(k, n):
-            trees += 1
-            for i in range(5):
-                r[i] += tree.root.rank >= i
-            for v in tree.vertices():
-                for i in range(5):
-                    m[i] += v.rank >= i
-                if v.rank <= 3:
-                    e[v.rank] += 1
-        ok &= trees == table.tree_count(n)
-        for i in range(4):
-            ok &= r[i] == table.root_rank_count(i, n)
-            ok &= m[i] == table.rank_ge_count(i, n)
-        census = table.rank_census(n, 3)
-        if census.exact:
-            ok &= census.exact == tuple(e)
-        else:
-            ok &= trees == 0
+    ok = all(checks.triple_agreement(table, n) for n in range(1, n_max + 1))
     assert _report(
         f"criterion 1: triple-oracle agreement for k={k}, n <= {n_max}, i <= 3", ok
     )
@@ -90,14 +67,7 @@ def test_criterion_2_figure_one_reproduction():
 def test_criterion_3_series_identities_order_64(k, request):
     table = request.getfixturevalue(f"table_k{k}")
     order = 64
-    ok = seriesoracle.verify_inverse(k, order)
-    for i in range(3):
-        R = seriesoracle.oracle_R(k, i, order)
-        M = seriesoracle.oracle_M(k, i, order)
-        for n in range(1, order + 1):
-            ok &= R.labeled(n) == table.root_rank_count(i, n)
-            ok &= M.labeled(n) == table.rank_ge_count(i, n)
-        ok &= seriesoracle.verify_theorem_decomposition(k, i, order)
+    ok = all(passed for _, passed in checks.series_identities(table, order))
     assert _report(
         f"criterion 3: series identities at order {order}, k={k}, i in 0..2 (exact)", ok
     )

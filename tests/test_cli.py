@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -9,6 +10,7 @@ import pytest
 
 from phylorank import bruteforce, cli, exactcount, seriesoracle, stats
 from phylorank.cli import main
+from phylorank.seriesoracle import TruncatedSeries
 from phylorank.treecore import from_newick
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -222,6 +224,54 @@ def test_verify_fails_on_a_wrong_polynomial_split(capsys, monkeypatch):
     lines = out.strip().splitlines()
     assert code == 3 and lines[-1] == "FAIL"
     assert "FAIL polynomial split identity i=0" in lines
+
+
+class _OffByOne(TruncatedSeries):
+    """Its counts n! [x^n] read one too high; a series built from it is true."""
+
+    def labeled(self, n):
+        return super().labeled(n) + 1
+
+
+def _bumped_series(name, i):
+    """``seriesoracle.<name>`` with its series at rank i read one too high."""
+    real = getattr(seriesoracle, name)
+    return lambda k, j, o: (_OffByOne if j == i else TruncatedSeries)(real(k, j, o).coeffs, o)
+
+
+def _bumped_root_rank_count(i, at):
+    """``CountTable.root_rank_count`` one too high for r_i at n = ``at``."""
+    real = exactcount.CountTable.root_rank_count
+    return lambda self, j, n: real(self, j, n) + (j == i and n == at)
+
+
+# each named check of verify at k=2, n_max=5, order 4: the one input broken
+# for it and the one FAIL line that must follow.  The series checks stop at
+# n = 4, so r_0 (the tree count) bumped at n = 5 reaches triple agreement only.
+_BROKEN_CHECKS = {
+    "inverse": (seriesoracle, "verify_inverse", lambda k, order: False,
+                "compositional inverse through order 4"),
+    **{f"root-rank-series-i{i}": (seriesoracle, "oracle_R", _bumped_series("oracle_R", i),
+                                  f"root-rank series identity i={i}") for i in range(3)},
+    **{f"rank-at-least-series-i{i}": (seriesoracle, "oracle_M", _bumped_series("oracle_M", i),
+                                      f"rank-at-least series identity i={i}") for i in range(3)},
+    # no shuffle: every draw deals the same labels, so all 3000 are one tree
+    "chi-square": (random.Random, "shuffle", lambda self, x: None,
+                   "chi-square uniformity at n=3 (stat 6000.00 < 13.82)"),
+    **{f"root-rank-count-i{i}": (exactcount.CountTable, "root_rank_count",
+                                 _bumped_root_rank_count(i, 5), "triple agreement at n=5")
+       for i in (0, 3)},
+}
+
+
+@pytest.mark.parametrize("case", list(_BROKEN_CHECKS))
+def test_verify_fails_on_each_broken_check(capsys, monkeypatch, case):
+    target, name, broken, failed = _BROKEN_CHECKS[case]
+    monkeypatch.setattr(target, name, broken)
+    code, out, _ = run(capsys, "verify", "--k", "2", "--n-max", "5", "--order", "4")
+    lines = out.strip().splitlines()
+    assert code == 3 and lines[-1] == "FAIL"
+    assert [line for line in lines if line.startswith("FAIL ")] == [f"FAIL {failed}"]
 
 
 def test_verify_runs_without_scipy():
