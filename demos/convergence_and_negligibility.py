@@ -6,7 +6,6 @@ the exact counterexample at rank 1.
 from fractions import Fraction
 
 from phylorank import (
-    CountTable,
     convergence_table,
     log_concavity_check,
     log_concavity_over_ranks,
@@ -18,9 +17,8 @@ from phylorank.render import decimal_str
 
 def main():
     print("=== m_i(n)/m_0(n) -> k^(-c_i), exactly tabulated ===")
-    table = CountTable(2, 301)
     for i in (1, 2):
-        report = convergence_table(2, i, [3, 11, 51, 101, 301], table=table)
+        report = convergence_table(2, i, [3, 11, 51, 101, 301])
         print(f"  k=2, i={i} (limit {report.limit}):")
         for row in report.rows:
             print(f"    n={row.n:4d}  ratio {str(row.ratio):>12s}"

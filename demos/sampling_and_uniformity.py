@@ -19,19 +19,19 @@ def main():
     for newick in first:
         print(" ", newick)
     again = [to_newick(t) for t in sample_batch(2, 9, 3, base_seed=42)]
-    print("  same seed, same trees:", first == again)
+    print(f"{'PASS' if first == again else 'FAIL'} same seed, same trees")
 
     print("\n=== sample j depends only on (seed, j) ===")
     long = [to_newick(t) for t in sample_batch(2, 21, 6, base_seed=3)]
     short = [to_newick(t) for t in sample_batch(2, 21, 2, base_seed=3)]
-    print("  the first 2 of a batch of 6 equal a batch of 2:", long[:2] == short)
+    same = long[:2] == short
+    print(f"{'PASS' if same else 'FAIL'} the first 2 of a batch of 6 equal a batch of 2")
 
     print("\n=== sampling really is uniform: chi-square over the support ===")
     print("  support at n=4 is all", sum(1 for _ in enumerate_all(2, 4)), "trees")
     report = chi_square_uniformity(2, 4, samples=15000, base_seed=1)
-    print(f"  statistic {report.statistic:.2f} vs critical {report.critical:.2f} "
-          f"(significance {report.significance}, df {report.df}): "
-          f"{'uniform' if report.passed else 'BIASED'}")
+    print(f"{'PASS' if report.passed else 'FAIL'} uniform: statistic {report.statistic:.2f} "
+          f"vs critical {report.critical:.2f} (significance {report.significance}, df {report.df})")
 
     print("\n=== observed frequencies at n=3 ===")
     counts = Counter(to_newick(t) for t in sample_batch(2, 3, 3000, base_seed=5))

@@ -33,6 +33,7 @@ from .exactcount import (
     negligibility_ratio,
     rank_eq_limit,
     rank_ge_limit,
+    rank_ge_ratio,
     tree_count_closed,
 )
 from .bruteforce import brute_census, enumerate_all
@@ -109,6 +110,7 @@ __all__ = [
     "oracle_R",
     "rank_eq_limit",
     "rank_ge_limit",
+    "rank_ge_ratio",
     "rank_of",
     "sample_batch",
     "solve_T",

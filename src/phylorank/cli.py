@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import log10
+from math import lgamma, log, log10
 from typing import Sequence
 
 from . import bruteforce, checks, stats
@@ -45,6 +45,23 @@ def _require_printable_limit(k: int, i: int) -> None:
     c_i >= k**(i-1), so a large i is refused before k**i is formed."""
     if k >= 2 and i >= 1 and ((i - 1) * log10(k) > 20 or c_index(k, i) * log10(k) > LIMITS_MAX_DIGITS):
         raise DomainError(f"k**c_{i} at k={k} would print more than {LIMITS_MAX_DIGITS} digits")
+
+
+def _require_printable_ratios(k: int, i: int, grid: Sequence[int], powers: Sequence[int]) -> None:
+    """Refuse an n at which m_i/m_0 or a negligibility ratio, unreduced, tops LIMITS_MAX_DIGITS:
+    c_i factors of at most n+s, or (p-1)/(k-1) factors of at most (n+s) k! for the power p.  A
+    zero ratio (n < k^i, n < p) is one digit; an inadmissible n is left to convergence_table."""
+    c = c_index(k, i)  # small once _require_printable_limit(k, i) has passed
+    kfac_digits = lgamma(min(k, LIMITS_MAX_DIGITS) + 1) / log(10)  # k! alone tops it from there
+    for n in (n for n in grid if n >= 1 and (n - 1) % (k - 1) == 0):
+        s = (n - 1) // (k - 1)
+        sizes = [c * log10(n + s)] if s >= c else []
+        sizes += [(p - 1) // (k - 1) * (log10(n + s) + kfac_digits)
+                  for p in powers if 1 <= p <= n and (p - 1) % (k - 1) == 0]
+        if max(sizes, default=0) > LIMITS_MAX_DIGITS:
+            raise DomainError(
+                f"the ratios at n={n} would print more than {LIMITS_MAX_DIGITS} digits"
+            )
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -150,8 +167,7 @@ def _cmd_estimate(args) -> int:
 def _cmd_convergence(args) -> int:
     _require_printable_limit(args.k, args.i)
     grid, powers = args.n_grid, args.negligibility
-    if not grid:
-        raise DomainError("--n-grid must list at least one n")
+    _require_printable_ratios(args.k, args.i, grid, powers)
     report = stats.convergence_table(args.k, args.i, grid, negligibility_powers=powers)
     # JSON: a head with the exact limit, the gap exactly, the negligibility ratios
     # as a map; TSV: no head, the limit's decimal on each row, decimals only

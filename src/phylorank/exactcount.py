@@ -33,8 +33,7 @@ from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 from decimal import DivisionByZero, Inexact, InvalidOperation, Overflow, Rounded
 from fractions import Fraction
 from itertools import accumulate
-from math import ceil, comb, factorial, gcd, log2, prod
-from operator import mul
+from math import ceil, comb, factorial, gcd, lgamma, log, log2, perm, prod
 from typing import Sequence
 
 from .errors import ConsistencyError, DomainError, TableCoverageError, require_int
@@ -51,13 +50,14 @@ __all__ = [
     "require_table_size",
     "rank_ge_limit",
     "rank_eq_limit",
+    "rank_ge_ratio",
+    "negligibility_ratio",
     "LimitEntry",
     "LimitDistribution",
     "limit_distribution",
     "LogConcavityReport",
     "log_concavity_check",
     "log_concavity_over_ranks",
-    "negligibility_ratio",
     "CountTable",
 ]
 
@@ -172,23 +172,6 @@ def _lift(name: str, n: int, value: Decimal, fact: int, kfac_pow: int) -> int:
     return q
 
 
-def _cauchy_product(u: Sequence, v: Sequence, upto: int) -> list:
-    """w(n) = sum_a u(a) v(n-a) for n <= upto, with u(0) = v(0) = 0, term by
-    term in ``_EXACT``: the reference that the tests hold ``_packed_product`` to.
-
-    A square (``u is v``) multiplies each pair of mirror terms once."""
-    out = [0] * (upto + 1)
-    with localcontext(_EXACT):
-        for n in range(2, upto + 1):
-            if u is v:
-                half = n // 2
-                acc = 2 * sum(map(mul, u[1:n - half], u[n - 1:half:-1]))
-                out[n] = acc + u[half] * u[half] if n % 2 == 0 else acc
-            else:
-                out[n] = sum(map(mul, u[1:n], v[n - 1:0:-1]))
-    return out
-
-
 PACK_DIGITS = 155_648
 """Fewest digits in an operand budget of ``_packed_product``: two such operands fill libmpdec's
 transform of 2^14 words of 19 digits, whose scratch costs about 3.4 bytes per operand digit."""
@@ -203,10 +186,11 @@ made ``rank_census(5001, 2)`` 1.6 times slower."""
 
 
 def _packed_product(u: Sequence[Decimal], v: Sequence[Decimal], upto: int) -> list[Decimal]:
-    """``_cauchy_product(u, v, upto)`` for u, v of non-negative ``Decimal`` integers (exponent
-    0) by two-point Kronecker substitution (Harvey 2009) in blocks of ``size`` indices.  A block
-    f is evaluated at x = 10^h and -10^h as E + O and E - O, where E packs its even-index terms
-    and O its odd-index ones, shifted by h digits, into ``Decimal`` integers with 2h-digit
+    """The Cauchy product w(n) = sum_a u(a) v(n-a), n <= upto, of u, v of non-negative
+    ``Decimal`` integers (exponent 0) with u(0) = v(0) = 0, by two-point Kronecker
+    substitution (Harvey 2009) in blocks of ``size`` indices.  A block f is evaluated at
+    x = 10^h and -10^h as E + O and E - O, where E packs its even-index terms and O its
+    odd-index ones, shifted by h digits, into ``Decimal`` integers with 2h-digit
     slots.  For the pairs of blocks at a and b with a + b = s, P+ and P- sum the products at
     10^h and at -10^h (a square doubles each mirror pair), so that (P+ + P-)/2 holds the even
     slots and (P+ - P-)/2 the odd ones, slot j of either summing u(i) v(i') over i + i' = s + j
@@ -324,6 +308,56 @@ def rank_eq_limit(k: int, i: int) -> Fraction:
     1/k^(c_i) - 1/k^(c_{i+1}) = 1/k^(c_i) - 1/k^(k*c_i + 1)."""
     _bounded_c(k, i + 1)  # refuse before building either power
     return rank_ge_limit(k, i) - rank_ge_limit(k, i + 1)
+
+
+def _product_ratio(a: int, b: int, d: int, scale_bits: float = 0.0) -> Fraction:
+    """prod_{j=1..d} (a+j)/(b+j), exactly, for 0 <= a <= b.  A product whose factors, with
+    ``scale_bits`` more bits each, could top MAX_POWER_BITS bits is refused before any
+    multiplication."""
+    if d and d * (log2(b + d) + scale_bits) > MAX_POWER_BITS:
+        raise DomainError(
+            f"a product of {d} factors would exceed the bound of {MAX_POWER_BITS} bits"
+        )
+    return Fraction(perm(a + d, d), perm(b + d, d))
+
+
+def rank_ge_ratio(k: int, i: int, n: int) -> Fraction:
+    """m_i(n)/m_0(n), the fraction of vertices of rank at least i over all trees on {1..n}.
+
+    The quotient of the closed forms of m_i and m_0 (``CountTable``), in which the powers
+    of k! cancel: prod_{j=1..c_i} (s'+j)/(n+s'+j) with s' = s - c_i = (n - k^i)/(k-1),
+    and 0 when s' < 0, since a vertex of rank i has at least k^i leaves below it.  Each
+    factor tends to 1/k, so the ratio tends to k^(-c_i), ``rank_ge_limit``.
+    """
+    s = internal_vertices(k, n)
+    _check_rank(i)
+    if i >= n.bit_length() or k**i > n:  # k^i >= 2^i > n before k^i is formed
+        return Fraction(0)
+    c = c_index(k, i)
+    return _product_ratio(s - c, n + s - c, c)
+
+
+def negligibility_ratio(k: int, power: int, n: int) -> Fraction:
+    """Exact ratio of [x^n] T^power to the same coefficient of the all-vertex series.
+
+    The denominator coefficient is (k*s+1) times the tree coefficient, hence nonzero
+    exactly for admissible n.  The quotient of the closed forms (``coeff_T_pow``) is
+    power k!^d/(ks+1) prod_{j=1..d} (s_p+j)/(n+s_p-1+j), with d = (power-1)/(k-1) and
+    s_p = s - d, and 0 when n < power or d is no integer.  Each factor tends to 1/k, so
+    the ratio tends to 0 as n grows with k and power fixed.
+    """
+    if not is_admissible(k, n):
+        raise DomainError(
+            f"all-vertex coefficient vanishes at inadmissible n={n} (k={k}): ratio undefined"
+        )
+    require_int(power, "series power", 1)
+    d, off = divmod(power - 1, k - 1)
+    if n < power or off:
+        return Fraction(0)
+    s = (n - 1) // (k - 1)
+    kfac_bits = lgamma(min(k, MAX_POWER_BITS) + 1) / log(2)  # k! alone tops it from there on
+    product = _product_ratio(s - d, n + s - d - 1, d, kfac_bits)
+    return Fraction(power, k * s + 1) * factorial(k) ** d * product
 
 
 @dataclass(frozen=True)
@@ -461,25 +495,6 @@ def log_concavity_over_ranks(k: int, i_max: int) -> LogConcavityReport:
     return _concavity_scan(
         "rank", k, range(1, i_max), lambda i: _point_prob_pair(k, i)
     )
-
-
-def negligibility_ratio(k: int, power: int, n: int) -> Fraction:
-    """Exact ratio of [x^n] T^power to the same coefficient of the all-vertex series.
-
-    The denominator coefficient is (k*s+1) times the tree coefficient, hence
-    nonzero exactly for admissible n.  Returns 0 when the numerator vanishes;
-    the ratio tends to 0 as n grows with k and power fixed.
-    """
-    if not is_admissible(k, n):
-        raise DomainError(
-            f"all-vertex coefficient vanishes at inadmissible n={n} (k={k}): ratio undefined"
-        )
-    num = coeff_T_pow(k, power, n)
-    if num == 0:
-        return Fraction(0)
-    s = internal_vertices(k, n)
-    den = (k * s + 1) * coeff_T_pow(k, 1, n)
-    return num / den
 
 
 MAX_TABLE_BYTES = 1 << 28

@@ -7,7 +7,8 @@ Three instruments:
 * Pearson chi-square uniformity testing of the sampler over a fully
   enumerated support, and
 * exact convergence tables of the ratio m_i(n)/m_0(n) toward k^(-c_i),
-  computed with big-integer recurrences (no floating point in the ratios).
+  computed as closed products of small integers (no floating point in the
+  ratios).
 
 All sampling here goes through the deterministic batch contract, so every
 report is reproducible from its seed.
@@ -24,12 +25,12 @@ from typing import Iterable, Sequence
 from . import bruteforce
 from .errors import ConsistencyError, DomainError, require_int
 from .exactcount import (
-    CountTable,
     internal_vertices,
     is_admissible,
     negligibility_ratio,
     rank_eq_limit,
     rank_ge_limit,
+    rank_ge_ratio,
 )
 from .sampler import sample_batch, sample_rank_counts
 from .treecore import to_newick
@@ -267,14 +268,14 @@ def convergence_table(
     k: int,
     i: int,
     n_grid: Sequence[int] | Iterable[int],
-    table: CountTable | None = None,
     negligibility_powers: Sequence[int] = (),
 ) -> ConvergenceTable:
     """Exact ratios m_i(n)/m_0(n) over ``n_grid`` with gaps to the limit k^(-c_i).
 
     Optionally also tabulates, for each requested series power, the exact
     ratio of [x^n]T^power to the all-vertex coefficient (which tends to 0).
-    Every n in the grid must be admissible; the table must cover max(n_grid).
+    Every n in the grid must be admissible.  Both ratios are closed products
+    (``rank_ge_ratio``, ``negligibility_ratio``); no table is built.
     """
     points = list(n_grid)
     if not points:
@@ -282,15 +283,10 @@ def convergence_table(
     for n in points:
         if not is_admissible(k, n):
             raise DomainError(f"grid point n={n} is inadmissible for k={k}")
-    grid = sorted(set(points))
-    if table is None:
-        table = CountTable(k, grid[-1])
     limit = rank_ge_limit(k, i)
     rows = []
-    for n in grid:
-        m0 = table.total_vertex_count(n)
-        mi = table.rank_ge_count(i, n)
-        ratio = Fraction(mi, m0)
+    for n in sorted(set(points)):
+        ratio = rank_ge_ratio(k, i, n)
         neg = {p: negligibility_ratio(k, p, n) for p in negligibility_powers}
         rows.append(ConvergenceRow(n=n, ratio=ratio, gap=abs(ratio - limit), negligibility=neg))
     return ConvergenceTable(k=k, i=i, limit=limit, rows=tuple(rows))

@@ -188,6 +188,25 @@ def test_convergence_serialization(capsys):
     assert "neg_T^2" in tsv.splitlines()[0]
 
 
+def test_convergence_builds_no_table(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("convergence built a table")
+
+    monkeypatch.setattr(cli, "CountTable", refuse)
+    monkeypatch.setattr(stats, "CountTable", refuse, raising=False)
+    monkeypatch.setattr(exactcount.CountTable, "__init__", refuse)
+    code, out, _ = run(capsys, "convergence", "--k", "2", "--i", "3",
+                       "--n-grid", "3,1001,1000000001", "--negligibility", "2,3")
+    assert code == 0
+    assert [line.split("\t")[0] for line in out.splitlines()] == ["n", "3", "1001", "1000000001"]
+
+
+def test_convergence_empty_grid_is_a_domain_error(capsys):
+    code, out, err = run(capsys, "convergence", "--k", "2", "--i", "1", "--n-grid", ",")
+    assert code == 2 and out == ""
+    assert "n_grid must be nonempty" in err
+
+
 def test_verify_passes(capsys):
     code, out, _ = run(capsys, "verify", "--k", "2", "--n-max", "5", "--order", "24")
     assert code == 0
@@ -451,6 +470,31 @@ def test_limits_digit_bound(capsys, monkeypatch, command, k, last_admitted):
         assert f"would print more than {cli.LIMITS_MAX_DIGITS} digits" in err
     with pytest.raises(_Reached):
         main([*argv, str(last_admitted + offset)])
+
+
+@pytest.mark.parametrize(
+    "flags, last_admitted, far",
+    [
+        # m_15/m_0: c_15 = 32,767 factors up to n+s = 2n-1, 199,999.99 digits at n = 634,851
+        (["--i", "15", "--n-grid", "3,{}"], 634_851, 10**12 + 1),
+        # T^p at n = 10^6+1: p-1 factors up to 2n-1, times 2! each, 199,996.2 digits at
+        # p = 30,294; a power over n is 0
+        (["--i", "1", "--n-grid", "1000001", "--negligibility", "2,{}"], 30_294, 1_000_001),
+    ],
+    ids=["rank", "negligibility"],
+)
+def test_convergence_ratio_digit_bound(capsys, monkeypatch, flags, last_admitted, far):
+    # the bound is decided from k, i, n and the power alone: no ratio is formed
+    # on either side of it
+    monkeypatch.setattr(stats, "rank_ge_ratio", _reached)
+    monkeypatch.setattr(stats, "negligibility_ratio", _reached)
+    argv = ["convergence", "--k", "2"]
+    for refused in (last_admitted + 1, far):
+        code, out, err = run(capsys, *argv, *(f.format(refused) for f in flags))
+        assert code == 2 and out == ""
+        assert f"would print more than {cli.LIMITS_MAX_DIGITS} digits" in err
+    with pytest.raises(_Reached):
+        main([*argv, *(f.format(last_admitted) for f in flags)])
 
 
 def test_verify_order_bound(capsys, monkeypatch):

@@ -6,6 +6,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
 from math import comb, factorial, gcd, prod
+from operator import mul
 
 import pytest
 
@@ -13,7 +14,6 @@ from phylorank import bruteforce, exactcount
 from phylorank.errors import ConsistencyError, DomainError, TableCoverageError
 from phylorank.exactcount import (
     CountTable,
-    _cauchy_product,
     c_index,
     coeff_T_pow,
     internal_vertices,
@@ -24,6 +24,7 @@ from phylorank.exactcount import (
     negligibility_ratio,
     rank_eq_limit,
     rank_ge_limit,
+    rank_ge_ratio,
     tree_count_closed,
 )
 from phylorank.stats import convergence_table
@@ -474,6 +475,54 @@ def test_negligibility_ratio_decreases():
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
+# The two laws, closed products of small ratios, against the routes they
+# replace: the table's m_i(n)/m_0(n) and the quotient of coeff_T_pow terms.
+
+
+@pytest.mark.parametrize("k, fixture", [(2, "big_table_k2"), (3, "table_k3"), (4, "table_k4")])
+def test_rank_ge_ratio_matches_the_table(k, fixture, request):
+    table = request.getfixturevalue(fixture)
+    for n in range(1, table.n_max + 1, k - 1):
+        m = [table.rank_ge_count(i, n) for i in range(table._top_rank + 2)]
+        assert m[0] == table.total_vertex_count(n)
+        assert [rank_ge_ratio(k, i, n) for i in range(len(m))] == [Fraction(x, m[0]) for x in m]
+
+
+@pytest.mark.parametrize("k, n_max", [(2, 201), (3, 151), (4, 101), (5, 101)])
+def test_negligibility_ratio_matches_coeff_T_pow(k, n_max):
+    for n in range(1, n_max + 1, k - 1):
+        den = (k * internal_vertices(k, n) + 1) * coeff_T_pow(k, 1, n)
+        for power in range(1, 12):
+            assert negligibility_ratio(k, power, n) == coeff_T_pow(k, power, n) / den
+
+
+class _Reached(Exception):
+    pass
+
+
+def _reached(*args, **kwargs):
+    raise _Reached
+
+
+def test_laws_refuse_a_product_over_the_power_bound(monkeypatch):
+    # m_3/m_0 at k=2, n=1001 has 7 factors up to n+s = 2001: 76.8 bits; the
+    # negligibility of T^8 there 7 factors up to 2000, times 2! each: 83.8
+    monkeypatch.setattr(exactcount, "perm", _reached)
+    for law, args, bits in ((rank_ge_ratio, (2, 3, 1001), 77),
+                            (negligibility_ratio, (2, 8, 1001), 84)):
+        monkeypatch.setattr(exactcount, "MAX_POWER_BITS", bits - 1)
+        with pytest.raises(DomainError, match=f"bound of {bits - 1} bits"):
+            law(*args)
+        monkeypatch.setattr(exactcount, "MAX_POWER_BITS", bits)
+        with pytest.raises(_Reached):
+            law(*args)
+    # a huge k is refused before k! is formed, a huge rank is 0 before k**i is
+    monkeypatch.setattr(exactcount, "factorial", _reached)
+    with pytest.raises(DomainError, match="bits"):
+        negligibility_ratio(10**9, 10**9, 10**9)
+    assert rank_ge_ratio(2, 10**12, 5) == 0
+
+
 # ---------------------------------------------------- internal consistency
 
 
@@ -603,6 +652,23 @@ def test_forest_count_builds_the_tower_by_halving(monkeypatch):
 
 
 # The reduced route against the labelled convolution computed term by term.
+
+
+def _cauchy_product(u, v, upto):
+    """w(n) = sum_a u(a) v(n-a) for n <= upto, with u(0) = v(0) = 0, term by
+    term in ``_EXACT``: the reference that ``_packed_product`` is held to.
+
+    A square (``u is v``) multiplies each pair of mirror terms once."""
+    out = [0] * (upto + 1)
+    with localcontext(exactcount._EXACT):
+        for n in range(2, upto + 1):
+            if u is v:
+                half = n // 2
+                acc = 2 * sum(map(mul, u[1:n - half], u[n - 1:half:-1]))
+                out[n] = acc + u[half] * u[half] if n % 2 == 0 else acc
+            else:
+                out[n] = sum(map(mul, u[1:n], v[n - 1:0:-1]))
+    return out
 
 
 def _binomial_convolution(u, v, upto):
@@ -1160,12 +1226,9 @@ def test_root_rank_one_forms_no_product(monkeypatch, k):
     # r_1 is t off n = 1, checked against g_k at construction with no
     # product; k! r_2 = r_1^{*k} still takes its k - 1 products
     table = CountTable(k, 31)
-    calls = []
-    for name in ("_cauchy_product", "_packed_product"):
-        spied = getattr(exactcount, name)
-        monkeypatch.setattr(
-            exactcount, name, lambda *args, spied=spied: calls.append(args) or spied(*args)
-        )
+    calls, spied = [], exactcount._packed_product
+    monkeypatch.setattr(exactcount, "_packed_product",
+                        lambda *args: calls.append(args) or spied(*args))
     table.root_rank_count(1, 31)
     assert calls == []
     table.root_rank_count(2, 31)

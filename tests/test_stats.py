@@ -5,7 +5,7 @@ import pytest
 
 from phylorank import stats
 from phylorank.errors import ConsistencyError, DomainError
-from phylorank.exactcount import CountTable, rank_eq_limit
+from phylorank.exactcount import rank_eq_limit
 from phylorank.sampler import sample_batch, sample_rank_counts
 from phylorank.stats import (
     chi_square_critical,
@@ -14,11 +14,6 @@ from phylorank.stats import (
     estimate_rank_distribution,
 )
 from phylorank.treecore import RankCensus
-
-
-@pytest.fixture(scope="module")
-def table():
-    return CountTable(2, 40)
 
 
 # ---------------------------------------------------------------- estimates
@@ -184,42 +179,42 @@ def test_chi_square_inadmissible():
 # -------------------------------------------------------------- convergence
 
 
-def test_convergence_first_ratios(table):
-    report = convergence_table(2, 1, [3, 4], table=table)
+def test_convergence_first_ratios():
+    report = convergence_table(2, 1, [3, 4])
     assert report.limit == Fraction(1, 2)
     assert report.rows[0].ratio == Fraction(6, 15)
     assert report.rows[1].ratio == Fraction(45, 105)
 
 
-def test_convergence_rank_zero_is_exactly_one(table):
-    report = convergence_table(2, 0, [1, 5, 9, 33], table=table)
+def test_convergence_rank_zero_is_exactly_one():
+    report = convergence_table(2, 0, [1, 5, 9, 33])
     assert all(row.ratio == 1 for row in report.rows)
     assert all(row.gap == 0 for row in report.rows)
 
 
-def test_convergence_gap_shrinks(table):
-    report = convergence_table(2, 1, [3, 9, 17, 33], table=table)
+def test_convergence_gap_shrinks():
+    report = convergence_table(2, 1, [3, 9, 17, 33])
     gaps = [row.gap for row in report.rows]
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
 
-def test_convergence_ternary(table_k3):
-    report = convergence_table(3, 1, [3, 21, 45], table=table_k3)
+def test_convergence_ternary():
+    report = convergence_table(3, 1, [3, 21, 45])
     assert report.limit == Fraction(1, 3)
     gaps = [row.gap for row in report.rows]
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
 
-def test_convergence_ternary_rank_two(table_k3):
+def test_convergence_ternary_rank_two():
     # k=3, i=2 needs at least 9 leaves; the gap to 1/81 shrinks along the grid
-    report = convergence_table(3, 2, [9, 21, 45, 63], table=table_k3)
+    report = convergence_table(3, 2, [9, 21, 45, 63])
     assert report.limit == Fraction(1, 81)
     gaps = [row.gap for row in report.rows]
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
 
-def test_convergence_negligibility_columns(table):
-    report = convergence_table(2, 1, [3, 9], table=table, negligibility_powers=(2, 3))
+def test_convergence_negligibility_columns():
+    report = convergence_table(2, 1, [3, 9], negligibility_powers=(2, 3))
     assert report.rows[0].negligibility[2] == Fraction(2, 5)
     assert set(report.rows[1].negligibility) == {2, 3}
 
@@ -229,6 +224,6 @@ def test_convergence_rejects_inadmissible_grid():
         convergence_table(3, 1, [3, 4])
 
 
-def test_convergence_requires_nonempty_grid(table):
+def test_convergence_requires_nonempty_grid():
     with pytest.raises(DomainError):
-        convergence_table(2, 1, [], table=table)
+        convergence_table(2, 1, [])
