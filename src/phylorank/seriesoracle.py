@@ -2,10 +2,11 @@
 
 The tree series T(x) satisfies T = x + T^k/k! and is the compositional
 inverse of F(x) = x - x^k/k!.  This module solves it in one pass on truncated
-series with :class:`fractions.Fraction` coefficients (products and quotients
-run on integers over a common denominator), and evaluates every generating-
-function identity used elsewhere coefficientwise, so any disagreement with
-the counting module is detected bit-exactly.
+series with :class:`fractions.Fraction` coefficients (products, and the one
+division per (k, order), V = 1/(1 - T^(k-1)/(k-1)!), run on integers over a
+common denominator), checks T(F(x)) = x on integers, and evaluates every
+generating-function identity used elsewhere coefficientwise, so any
+disagreement with the counting module is detected bit-exactly.
 
 No floating point appears anywhere here; that is the whole point.
 """
@@ -112,6 +113,8 @@ class TruncatedSeries:
         require_int(e, "series power", 0)
         if e == 0:
             return TruncatedSeries.one(self.order)
+        if not any(self.coeffs[: self.order // e + 1]):  # valuation * e > order
+            return TruncatedSeries.zero(self.order)
         base = self
         while not e & 1:
             base = base * base
@@ -196,61 +199,72 @@ def solve_T(k: int, order: int) -> TruncatedSeries:
     return T
 
 
+@lru_cache(maxsize=8, typed=True)
+def _vertex_factor(k: int, order: int) -> TruncatedSeries:
+    """V = 1/(1 - T^(k-1)/(k-1)!) through ``order``, the one series division of
+    the oracle, memoized like :func:`solve_T`: M_i = R_i V for every i."""
+    T = solve_T(k, order)
+    one = TruncatedSeries.one(order)
+    return one / (one - (T ** (k - 1)) * Fraction(1, factorial(k - 1)))
+
+
+def _times_power(s: TruncatedSeries, base, e: int) -> TruncatedSeries:
+    """s * base^e, forming no power when s is zero (base^e may have billions of digits)."""
+    return s * base**e if any(s.coeffs) else s
+
+
 def verify_inverse(k: int, order: int) -> bool:
     """Check that T(F(x)) = x through ``order``, where F(x) = x - x^k/k!: the
-    other side of the inverse from the fixed point :func:`solve_T` checks.
-    T is composed with F by Horner's rule, one truncated product per term."""
+    other side of the inverse from the fixed point :func:`solve_T` checks.  On integers,
+    by x = k! y: T_0 = 0, every S_n = k!^(n-1) [x^n]T is an integer, and S(phi(y)) = y
+    for phi(y) = y - k!^(k-2) y^k, by Horner's rule: one shift and one scaled subtraction."""
     T = solve_T(k, order)
-    x = TruncatedSeries.x(order)
-    F = x - (x**k) * Fraction(1, factorial(k))
-    T_of_F = TruncatedSeries.zero(order)
-    for t_n in reversed(T.coeffs[1:]):
-        T_of_F = (T_of_F + t_n) * F
-    return T_of_F == x
+    kfac = factorial(k)
+    S = [t * kfac ** (n - 1) for n, t in enumerate(T.coeffs) if n]
+    if T.coeffs[0] or any(s.denominator != 1 for s in S):
+        return False
+    scale = kfac ** (k - 2)
+    acc = [0] * (order + 1)  # [y^n] of S(phi(y)) so far
+    for s in reversed(S):
+        acc[0] += s.numerator
+        shifted = [0] + acc[:-1]  # y * acc
+        acc = [a - scale * b for a, b in zip(shifted, [0] * (k - 1) + shifted)]
+    return acc == [0, 1] + [0] * (order - 1)
 
 
 def oracle_R(k: int, i: int, order: int) -> TruncatedSeries:
-    """Root-rank series: trees whose root has rank >= i, as T^(k^i) / k!^(c_i)."""
+    """Root-rank series: trees whose root has rank >= i, as T^(k^i) / k!^(c_i).
+    Zero, with no k!^(c_i) formed, once k^i > order."""
     require_int(i, "rank index", 0)
     T = solve_T(k, order)
-    return (T ** (k**i)) * Fraction(1, factorial(k) ** c_index(k, i))
+    return _times_power(T ** (k**i), Fraction(1, factorial(k)), c_index(k, i))
 
 
 def oracle_M(k: int, i: int, order: int) -> TruncatedSeries:
-    """Rank->=i vertex series: R_i / (1 - T^(k-1)/(k-1)!), evaluated exactly.
+    """Rank->=i vertex series: R_i / (1 - T^(k-1)/(k-1)!) = R_i V, with V memoized.
 
     n! times its x^n coefficient counts vertices of rank at least i over all
     trees on {1..n}.
     """
-    require_int(i, "rank index", 0)
-    T = solve_T(k, order)
-    one = TruncatedSeries.one(order)
-    denom = one - (T ** (k - 1)) * Fraction(1, factorial(k - 1))
-    return oracle_R(k, i, order) / denom
+    return oracle_R(k, i, order) * _vertex_factor(k, order)
 
 
 def verify_theorem_decomposition(k: int, i: int, order: int) -> bool:
     """Check, coefficientwise, the split of T^(k^i)/(1 - T^(k-1)/(k-1)!)
     into a polynomial part in T plus (k-1)!^(c_i) times the all-vertex series.
 
-    The polynomial part is -(k-1)!^(c_i) * T * sum_{j<c_i} (T^(k-1)/(k-1)!)^j,
-    from the factorization f^c - 1 = (f-1)(f^(c-1) + ... + 1).
+    With f = T^(k-1)/(k-1)! and V = 1/(1 - f), T^(k^i) V = (k-1)!^(c_i) T (V - sum_{j<c_i} f^j)
+    from f^c - 1 = (f-1)(f^(c-1) + ... + 1).  The sum stops at the first power of f that
+    vanishes through ``order``, so the work is bounded by the order, not by c_i.
     """
     require_int(i, "rank index", 0)
-    T = solve_T(k, order)
-    one = TruncatedSeries.one(order)
+    T, V = solve_T(k, order), _vertex_factor(k, order)
     c = c_index(k, i)
-    km1fac = factorial(k - 1)
-    f = (T ** (k - 1)) * Fraction(1, km1fac)
-    lhs = (T ** (k**i)) / (one - f)
-
-    geo = TruncatedSeries.zero(order)
-    f_pow = one
+    f = (T ** (k - 1)) * Fraction(1, factorial(k - 1))
+    geo, f_pow = TruncatedSeries.zero(order), TruncatedSeries.one(order)
     for _ in range(c):
+        if not any(f_pow.coeffs):
+            break
         geo = geo + f_pow
         f_pow = f_pow * f
-    scale = Fraction(km1fac**c)
-    poly_part = -(T * geo) * scale
-    M0 = T / (one - f)
-    rhs = poly_part + M0 * scale
-    return lhs == rhs
+    return (T ** (k**i)) * V == _times_power(T * (V - geo), factorial(k - 1), c)

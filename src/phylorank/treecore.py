@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from operator import attrgetter
 from typing import Iterable
 
@@ -175,9 +176,7 @@ class RankCensus:
     def of_trees(cls, k: int, n: int, trees: Iterable[Tree], max_rank: int) -> "RankCensus":
         """Census of every vertex of ``trees``, all on leaf set {1..n}."""
         require_int(max_rank, "max_rank", 0)
-        by_rank = Counter()
-        for tree in trees:
-            by_rank.update(map(_rank, tree.vertices()))
+        by_rank = Counter(map(_rank, chain.from_iterable(map(Tree.vertices, trees))))
         total = sum(by_rank.values())
         if not total:
             return cls(k=k, n=n, exact=(), ratios=(), tail=0, total=0)

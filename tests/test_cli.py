@@ -504,6 +504,7 @@ def test_verify_order_bound(capsys, monkeypatch):
     with monkeypatch.context() as patched:
         patched.setattr(cli, "CountTable", _reached)
         patched.setattr(seriesoracle, "solve_T", _reached)
+        patched.setattr(seriesoracle, "_vertex_factor", _reached)
         for refused in (cli.VERIFY_MAX_ORDER + 1, 10**12):
             code, out, err = run(capsys, *argv, str(refused))
             assert code == 2 and out == ""

@@ -1,10 +1,12 @@
 import random
+import time
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
-from phylorank import seriesoracle
+from phylorank import cli, seriesoracle
 from phylorank.errors import ConsistencyError, DomainError
 from phylorank.exactcount import CountTable, is_admissible
 from phylorank.seriesoracle import (
@@ -50,14 +52,75 @@ def test_verify_inverse():
     assert verify_inverse(2, 1)
 
 
+@pytest.fixture
+def cleared_memos():
+    """The memos of solve_T and of the vertex factor, empty before and after the
+    test: no V solved from another T can hide a fault, and no patched T leaks out."""
+    memos = (solve_T, seriesoracle._vertex_factor)
+    for memo in memos:
+        memo.cache_clear()
+    yield
+    for memo in memos:
+        memo.cache_clear()
+
+
 @pytest.mark.parametrize("k, n", [(2, 6), (3, 7)])
-def test_verify_inverse_fires_on_a_wrong_coefficient(monkeypatch, k, n):
+def test_verify_inverse_fires_on_a_wrong_coefficient(monkeypatch, cleared_memos, k, n):
     # T(F(x)) = x is checked apart from solve_T's own fixed point, so a tree
     # series with one coefficient changed must fail it
     coeffs = list(solve_T(k, 20).coeffs)
     coeffs[n] += Fraction(1, 3)
     monkeypatch.setattr(seriesoracle, "solve_T", lambda k, order: TruncatedSeries(coeffs, order))
     assert not verify_inverse(k, 20)
+
+
+@pytest.mark.parametrize("k, n", [(2, 1), (2, 6), (3, 7), (3, 4), (3, 20), (5, 9)])
+def test_verify_inverse_fires_on_an_integral_change(monkeypatch, cleared_memos, k, n):
+    # S_n = k!^(n-1) [x^n]T plus one is still an integer, so only the
+    # composition S(phi(y)) = y can refuse it
+    coeffs = list(solve_T(k, 20).coeffs)
+    coeffs[n] += Fraction(1, factorial(k) ** (n - 1))
+    monkeypatch.setattr(seriesoracle, "solve_T", lambda k, order: TruncatedSeries(coeffs, order))
+    assert not verify_inverse(k, 20)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_verify_inverse_fires_on_a_constant_term(monkeypatch, cleared_memos, k):
+    coeffs = [Fraction(1, factorial(k))] + list(solve_T(k, 20).coeffs[1:])
+    monkeypatch.setattr(seriesoracle, "solve_T", lambda k, order: TruncatedSeries(coeffs, order))
+    assert not verify_inverse(k, 20)
+
+
+def test_one_verify_divides_once_and_the_inverse_forms_no_product(
+        monkeypatch, capsys, cleared_memos):
+    calls = Counter()
+
+    def spy(name):
+        real = getattr(TruncatedSeries, name)
+
+        def counted(self, other):
+            calls[name] += 1
+            return real(self, other)
+        return counted
+
+    for name in ("__truediv__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(TruncatedSeries, name, spy(name))
+    assert cli.main(["verify", "--k", "3", "--n-max", "1", "--order", "64"]) == 0
+    assert capsys.readouterr().out.endswith("\nPASS\n")
+    assert calls["__truediv__"] == 1 and calls["__mul__"]
+    calls.clear()
+    assert verify_inverse(3, 64)  # on the T the run above memoized
+    assert not calls
+
+
+def test_rank_functions_are_bounded_by_the_order(cleared_memos):
+    # c_40 = (3^40 - 1)/2, so 6^(c_40) alone would not fit in memory; every
+    # series here is zero through order 8 or a geometric sum of 5 terms
+    start = time.process_time()
+    zero = TruncatedSeries.zero(8)
+    assert oracle_R(3, 40, 8) == zero and oracle_M(3, 40, 8) == zero
+    assert verify_theorem_decomposition(3, 40, 8)
+    assert time.process_time() - start < 0.1
 
 
 @pytest.mark.parametrize("k,i,order", [(2, 1, 40), (3, 2, 30), (2, 3, 40)])
@@ -124,6 +187,19 @@ def test_ring_axioms_spot_checks():
         assert a * b == b * a
         assert a + (b + c) == (a + b) + c
         assert a - a == TruncatedSeries.zero(order)
+
+
+def test_power_of_a_series_without_low_terms():
+    # a series of valuation v to the power e is zero exactly when v e > order
+    rng = random.Random(8)
+    x = TruncatedSeries.x(15)
+    for v in (1, 2, 3, 5):
+        a = _random_series(rng, 15) * x**v
+        product = TruncatedSeries.one(15)
+        for e in range(18):
+            assert a**e == product, (v, e)
+            product = product * a
+        assert a ** (15 // v + 1) == TruncatedSeries.zero(15)
 
 
 def test_power_matches_repeated_multiplication():
@@ -288,6 +364,24 @@ def test_products_and_quotients_match_schoolbook(order):
     assert negatives
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("order", [1, 20])
+def test_vertex_factor_matches_schoolbook(k, order):
+    one = TruncatedSeries.one(order)
+    T = _ref_solve_T(k, order)
+    power = one
+    for _ in range(k - 1):
+        power = _ref_mul(power, T)
+    f = power * Fraction(1, factorial(k - 1))
+    assert seriesoracle._vertex_factor(k, order) == _ref_div(one, one - f)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_vertex_factor_refuses_order_zero_like_solve_T(k):
+    with pytest.raises(DomainError, match="truncation order"):
+        seriesoracle._vertex_factor(k, 0)
+
+
 @pytest.mark.parametrize("k,order", [(2, 64), (3, 64), (4, 64), (5, 30)])
 def test_solve_T_matches_fixed_point_iteration(k, order):
     assert solve_T(k, order) == _ref_solve_T(k, order)
@@ -308,6 +402,7 @@ def test_solve_T_fixed_point_check_fires(monkeypatch):
             solve_T(3, 20)
     finally:
         solve_T.cache_clear()
+        seriesoracle._vertex_factor.cache_clear()
 
 
 def test_division_by_zero_scalar_and_bool_power_rejected():
