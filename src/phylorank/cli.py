@@ -35,8 +35,8 @@ from .treecore import to_newick
 # the digit count (about 2 s for k=2, rank 18: 157,826 digits)
 LIMITS_MAX_DIGITS = 200_000
 
-# largest series truncation order verify checks at: its series checks grow
-# about 10-fold per doubling (k=2, n_max=1: 0.13 s at 64, 0.8 s at 128, 8 s at 256)
+# largest series truncation order verify checks at: its table and series checks grow
+# 9- to 18-fold per doubling (k=2, through the library: 0.14 s at 128, 1.2 s at 256)
 VERIFY_MAX_ORDER = 128
 
 

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 from decimal import DivisionByZero, Inexact, InvalidOperation, Overflow, Rounded
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate
 from math import ceil, comb, factorial, gcd, lgamma, log, log2, perm, prod
 from typing import Sequence
@@ -305,9 +306,8 @@ def rank_ge_limit(k: int, i: int) -> Fraction:
 
 def rank_eq_limit(k: int, i: int) -> Fraction:
     """Limiting fraction of vertices of rank exactly i:
-    1/k^(c_i) - 1/k^(c_{i+1}) = 1/k^(c_i) - 1/k^(k*c_i + 1)."""
-    _bounded_c(k, i + 1)  # refuse before building either power
-    return rank_ge_limit(k, i) - rank_ge_limit(k, i + 1)
+    1/k^(c_i) - 1/k^(c_{i+1}) = (k^m - 1)/k^(c_{i+1}), ``_point_prob_pair``."""
+    return Fraction(*_point_prob_pair(k, i))
 
 
 def _product_ratio(a: int, b: int, d: int, scale_bits: float = 0.0) -> Fraction:
@@ -414,12 +414,7 @@ def _compare_products(lhs_factors: Sequence[int], rhs_factors: Sequence[int]) ->
         return 1
     if s_r - len(rhs_factors) >= s_l:
         return -1
-    lhs = 1
-    for x in lhs_factors:
-        lhs *= x
-    rhs = 1
-    for x in rhs_factors:
-        rhs *= x
+    lhs, rhs = prod(lhs_factors), prod(rhs_factors)
     return (lhs > rhs) - (lhs < rhs)
 
 
@@ -446,28 +441,17 @@ class LogConcavityReport:
 
 
 def _concavity_scan(axis, fixed_value, middles, pair_of) -> LogConcavityReport:
-    pairs = {}
-
-    def get(j):
-        if j not in pairs:
-            pairs[j] = pair_of(j)
-        return pairs[j]
-
-    checked = []
+    get = cache(pair_of)
     violations = []
     for mid in middles:
-        a_lo, b_lo = get(mid - 1)
-        a_mid, b_mid = get(mid)
-        a_hi, b_hi = get(mid + 1)
-        checked.append(mid)
+        (a_lo, b_lo), (a_mid, b_mid), (a_hi, b_hi) = map(get, (mid - 1, mid, mid + 1))
         # P_mid^2 >= P_lo * P_hi  <=>  a_mid^2 b_lo b_hi >= a_lo a_hi b_mid^2
-        sign = _compare_products([a_mid, a_mid, b_lo, b_hi], [a_lo, a_hi, b_mid, b_mid])
-        if sign < 0:
+        if _compare_products([a_mid, a_mid, b_lo, b_hi], [a_lo, a_hi, b_mid, b_mid]) < 0:
             violations.append((mid, (a_mid * a_mid, b_mid * b_mid), (a_lo * a_hi, b_lo * b_hi)))
     return LogConcavityReport(
         axis=axis,
         fixed_value=fixed_value,
-        checked=tuple(checked),
+        checked=tuple(middles),
         violations=tuple(violations),
     )
 
@@ -617,8 +601,8 @@ class CountTable:
             ]
 
     def _count(self, name: str, seq: Sequence[Decimal], n: int) -> int:
-        """The count seq(n) n! / k!^n of the reduced sequence ``name``."""
-        return _lift(name, n, seq[n], factorial(n), self._kfac**n)
+        """The count seq(n) n! / k!^n of the reduced sequence ``name``; a 0 forms no n! or k!^n."""
+        return _lift(name, n, seq[n], factorial(n), self._kfac**n) if seq[n] else 0
 
     # ----- convolution identities ----------------------------------------
 

@@ -214,21 +214,10 @@ def chi_square_uniformity(
     if unknown:
         raise ConsistencyError(f"sampler produced trees outside the support: {unknown}")
 
-    if size == 1:
-        return UniformityReport(
-            k=k, n=n, samples=samples, seed=base_seed, significance=significance,
-            support=1, df=0, statistic_exact=Fraction(0), statistic=0.0,
-            critical=0.0, passed=True,
-        )
-
-    expected = Fraction(samples, size)
-    stat = Fraction(0)
-    for newick in support:
-        obs = counts.get(newick, 0)
-        diff = obs - expected
-        stat += diff * diff / expected
+    # sum (o - e)^2 / e over the support, e = samples/size, each sample lying in it
+    stat = Fraction(size * sum(o * o for o in counts.values()), samples) - samples
     df = size - 1
-    critical = chi_square_critical(significance, df)
+    critical = chi_square_critical(significance, df) if df else 0.0
     stat_f = float(stat)
     return UniformityReport(
         k=k,
@@ -241,7 +230,7 @@ def chi_square_uniformity(
         statistic_exact=stat,
         statistic=stat_f,
         critical=critical,
-        passed=stat_f < critical,
+        passed=stat_f < critical or not df,
     )
 
 

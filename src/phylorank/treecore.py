@@ -289,13 +289,15 @@ def from_newick(text: str, k: int) -> Tree:
                 fail("unexpected '('", i)
             stack.append([])
             i += 1
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":  # ASCII digits only: str.isdigit also takes '²' and '٣'
             if not expect_item:
                 fail("unexpected label", i)
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
-            node = leaf(int(text[i:j]))
+            if not (label := int(text[i:j])):
+                raise InvalidTreeError(f"leaf label 0 is not a positive integer (at position {i})")
+            node = leaf(label)
             if stack:
                 stack[-1].append(node)
             else:

@@ -338,6 +338,21 @@ def test_ranks_past_the_tallest_share_one_zero_sequence():
     assert peak < 2_000_000
 
 
+@pytest.mark.parametrize("k, n", [(2, 64), (3, 63)])
+def test_rank_census_lifts_no_rank_past_the_tallest(k, n, monkeypatch):
+    # m_0..m_{top} and one tree count (the m_0 check): each lift forms n! and k!^n
+    table = CountTable(k, n)
+    lifted = []
+    lift = exactcount._lift
+    monkeypatch.setattr(
+        exactcount, "_lift", lambda name, *rest: lifted.append(name) or lift(name, *rest)
+    )
+    census = table.rank_census(n, 10**4)
+    assert len(lifted) <= table._top_rank + 2
+    assert census.exact[table._top_rank + 1:] == (0,) * (10**4 - table._top_rank)
+    assert census.tail == 0 and sum(census.exact) == census.total
+
+
 # ------------------------------------------------------------------ limits
 
 

@@ -1,9 +1,10 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from phylorank import stats
+from phylorank import bruteforce, stats
 from phylorank.errors import ConsistencyError, DomainError
 from phylorank.exactcount import rank_eq_limit
 from phylorank.sampler import sample_batch, sample_rank_counts
@@ -13,7 +14,7 @@ from phylorank.stats import (
     convergence_table,
     estimate_rank_distribution,
 )
-from phylorank.treecore import RankCensus
+from phylorank.treecore import RankCensus, to_newick
 
 
 # ---------------------------------------------------------------- estimates
@@ -155,6 +156,26 @@ def test_chi_square_exact_statistic():
     assert report.statistic == pytest.approx(float(report.statistic_exact))
     # statistic is a sum of (obs-expected)^2/expected with expected = 100
     assert report.statistic_exact >= 0
+
+
+@pytest.mark.parametrize("k, n, samples, seed", [(2, 4, 1500, 2), (3, 7, 2800, 3)])
+def test_chi_square_statistic_is_the_pearson_sum_over_the_support(k, n, samples, seed):
+    support = [to_newick(t) for t in bruteforce.enumerate_all(k, n)]
+    counts = Counter(to_newick(t) for t in sample_batch(k, n, samples, seed))
+    expected = Fraction(samples, len(support))
+    stat = sum((counts[s] - expected) ** 2 / expected for s in support)
+    report = chi_square_uniformity(k, n, samples, seed)
+    assert report.statistic_exact == stat
+    assert report.statistic == float(stat)
+    assert report.df == len(support) - 1 and report.passed
+
+
+@pytest.mark.parametrize("k, n", [(2, 2), (3, 3)])
+def test_chi_square_one_tree_support(k, n):
+    report = chi_square_uniformity(k, n, samples=25, base_seed=4)
+    assert (report.support, report.df) == (1, 0)
+    assert report.statistic_exact == 0 and report.statistic == 0.0
+    assert report.critical == 0.0 and report.passed
 
 
 def test_chi_square_statistic_flags_degenerate_source():

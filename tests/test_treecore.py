@@ -72,6 +72,20 @@ def test_parse_errors_carry_position(bad):
     assert err.value.position >= 0
 
 
+@pytest.mark.parametrize("text, position", [("²;", 0), ("(1,٣);", 3), ("(1,2²);", 4)])
+def test_labels_are_ascii_digits_only(text, position):
+    # str.isdigit accepts these, and int() reads '٣' as 3
+    with pytest.raises(NewickParseError) as err:
+        from_newick(text, 2)
+    assert err.value.position == position
+
+
+@pytest.mark.parametrize("text", ["(0,1);", "((1,2),00);", "0;"])
+def test_label_zero_is_an_invalid_tree(text):
+    with pytest.raises(InvalidTreeError, match="leaf label 0 is not a positive integer"):
+        from_newick(text, 2)
+
+
 def test_validate_accepts_cherry():
     assert validate(from_newick("(1,2);", 2)) is None
 
