@@ -16,8 +16,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain, islice
 from math import lgamma, log, log10
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import bruteforce, checks, stats
 from .errors import ConsistencyError, DomainError, PhyloRankError, require_int
@@ -64,12 +65,13 @@ def _require_printable_ratios(k: int, i: int, grid: Sequence[int], powers: Seque
             )
 
 
-def _emit(text: str, path: str | None) -> None:
+def _emit(chunks: Iterable[str], path: str | None) -> None:
+    """Write ``chunks`` one by one, so that a stream of them is never held whole."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _emit_table(args, head: dict, columns: Sequence[str], rows: list[dict]) -> None:
@@ -84,7 +86,7 @@ def _emit_table(args, head: dict, columns: Sequence[str], rows: list[dict]) -> N
             cells = (row[c] for c in columns)
             lines.append("\t".join(f"{v:.6e}" if isinstance(v, float) else str(v) for v in cells))
         text = "\n".join(lines)
-    _emit(text + "\n", args.output)
+    _emit([text + "\n"], args.output)
 
 
 def _int_list(text: str) -> list[int]:
@@ -99,7 +101,7 @@ def _int_list(text: str) -> list[int]:
 
 
 def _cmd_count(args) -> int:
-    _emit(str(CountTable(args.k, args.n).tree_count(args.n)) + "\n", args.output)
+    _emit([str(CountTable(args.k, args.n).tree_count(args.n)) + "\n"], args.output)
     return 0
 
 
@@ -129,20 +131,25 @@ def _cmd_limits(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    newicks = [to_newick(t) for t in sample_batch(args.k, args.n, args.count, args.seed)]
+    """Write the trees one by one.  The sampler refuses its arguments before
+    its first tree, so that tree is drawn before the output is opened."""
+    newicks = map(to_newick, sample_batch(args.k, args.n, args.count, args.seed))
+    newicks = chain(list(islice(newicks, 1)), newicks)
     if args.format == "json":
-        payload = {
-            "command": "sample",
-            "k": args.k,
-            "n": args.n,
-            "count": args.count,
-            "seed": args.seed,
-            "trees": newicks,
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
+        _emit(_sample_json(args, newicks), args.output)
     else:
-        _emit("".join(line + "\n" for line in newicks), args.output)
+        _emit((line + "\n" for line in newicks), args.output)
     return 0
+
+
+def _sample_json(args, newicks: Iterable[str]) -> Iterator[str]:
+    """``json.dumps`` of the sample payload at indent 2, byte for byte, with
+    its ``trees`` array written an element at a time."""
+    head = {"command": "sample", "k": args.k, "n": args.n, "count": args.count, "seed": args.seed}
+    yield json.dumps(head, indent=2)[:-2] + ',\n  "trees": ['  # [:-2] drops the closing "\n}"
+    for i, newick in enumerate(newicks):
+        yield (",\n    " if i else "\n    ") + json.dumps(newick)
+    yield "\n  ]\n}\n" if args.count else "]\n}\n"
 
 
 def _cmd_estimate(args) -> int:
@@ -211,14 +218,14 @@ def _cmd_verify(args) -> int:
     table = CountTable(k, max(n_max, order))
     if args.dump_newick:
         trees = (tree for n in range(1, n_max + 1) for tree in bruteforce.enumerate_all(k, n))
-        _emit("".join(to_newick(tree) + "\n" for tree in trees), args.dump_newick)
+        _emit((to_newick(tree) + "\n" for tree in trees), args.dump_newick)
 
     results = [(f"triple agreement at n={n}", checks.triple_agreement(table, n))
                for n in range(1, n_max + 1)]
     results += checks.series_identities(table, order) + checks.chi_square(table, n_max, args.seed)
     failed = not all(passed for _, passed in results)
     lines = [f"{'PASS' if passed else 'FAIL'} {name}" for name, passed in results]
-    _emit("\n".join([*lines, "FAIL" if failed else "PASS"]) + "\n", args.output)
+    _emit(["\n".join([*lines, "FAIL" if failed else "PASS"]) + "\n"], args.output)
     return 3 if failed else 0
 
 

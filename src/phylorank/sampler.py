@@ -25,7 +25,10 @@ which is safe as vertices are immutable and know no parent.  No count table,
 big integer or float is involved, and a tree costs O(N log N).
 
 Sample j draws from its own generator, seeded by a keyed hash of
-(base_seed, j), so a batch's first m trees are the batch of count m.
+(base_seed, j), so a batch's first m trees are the batch of count m.  Its
+shuffle, ``_shuffle``, is ``random.Random(seed).shuffle`` written out: the
+same Fisher–Yates swaps from the same ``getrandbits`` draws, so the stream
+is Random.shuffle's, without its per-swap method calls.
 """
 
 from __future__ import annotations
@@ -75,6 +78,18 @@ def _blocks_in_order(k: int, n: int, labels: list[int]) -> Iterator[tuple[int, .
             at[least] = block
 
 
+def _shuffle(labels: list[int], seed: int) -> None:
+    """``random.Random(seed).shuffle(labels)``: j is drawn for each i as
+    ``Random._randbelow_with_getrandbits(i + 1)`` draws it."""
+    getrandbits = random.Random(seed).getrandbits
+    for i in range(len(labels) - 1, 0, -1):
+        bits = (i + 1).bit_length()
+        j = getrandbits(bits)
+        while j > i:
+            j = getrandbits(bits)
+        labels[i], labels[j] = labels[j], labels[i]
+
+
 def _shuffles(k: int, n: int, count: int, base_seed: int) -> Iterator[list[int]]:
     """For each sample j, {1..ks} shuffled by its own seeded generator, once
     the arguments and the memory bound are checked."""
@@ -92,7 +107,7 @@ def _shuffles(k: int, n: int, count: int, base_seed: int) -> Iterator[list[int]]
     for j in range(count):
         labels = list(range(1, k * s + 1))
         digest = hashlib.blake2b(f"phylorank:{base_seed}:{j}".encode(), digest_size=16).digest()
-        random.Random(int.from_bytes(digest, "big")).shuffle(labels)
+        _shuffle(labels, int.from_bytes(digest, "big"))
         yield labels
 
 
@@ -112,8 +127,9 @@ def sample_batch(k: int, n: int, count: int, base_seed: int, table=None) -> Iter
         if leaves is None:  # after the checks; vertices are immutable, so shared
             leaves = [None] + [leaf(label) for label in range(1, n + 1)]
         made = leaves.copy()  # made[x] is the vertex labelled x
+        vertex = made.__getitem__
         for block in _blocks_in_order(k, n, labels):
-            made.append(internal([made[x] for x in block]))
+            made.append(internal(map(vertex, block)))
         yield Tree(made[-1], k)
 
 

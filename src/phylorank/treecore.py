@@ -85,13 +85,15 @@ def internal(children) -> Vertex:
     least = kids[0].min_label
     # stable, reverse included: the order of Vertex.sort_key, by C-level keys
     kids.sort(key=_size, reverse=True)
-    return Vertex(
-        None,
-        tuple(kids),
-        least,
-        sum(map(_size, kids)),
-        1 + min(map(_rank, kids)),
-    )
+    # one pass for the size and the least rank: cheaper than sum() and min()
+    # over attrgetter maps at the k = 2..20 the sampler builds
+    size = 0
+    rank = kids[0].rank
+    for kid in kids:
+        size += kid.size
+        if kid.rank < rank:
+            rank = kid.rank
+    return Vertex(None, tuple(kids), least, size, 1 + rank)
 
 
 class Tree:

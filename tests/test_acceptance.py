@@ -7,12 +7,11 @@ counterexamples); it is expected to fail and is marked xfail(strict) so the
 suite documents the refutation instead of hiding it.
 """
 
-import random
 from fractions import Fraction
 
 import pytest
 
-from phylorank import bruteforce, checks
+from phylorank import bruteforce, checks, sampler
 from phylorank.exactcount import (
     CountTable,
     log_concavity_check,
@@ -162,7 +161,7 @@ def test_criterion_7_chi_square_uniformity_k4():
 def test_criterion_7_chi_square_rejects_unpermuted_labels(monkeypatch):
     # fault injection: with no shuffle every draw deals the same partition,
     # {1,2}, {3,4}, {5,6}, and so the same tree
-    monkeypatch.setattr(random.Random, "shuffle", lambda self, x: None)
+    monkeypatch.setattr(sampler, "_shuffle", lambda labels, seed: None)
     report = chi_square_uniformity(2, 4, 1500, base_seed=CHI_SEED)
     assert not report.passed
 

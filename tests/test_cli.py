@@ -1,14 +1,14 @@
 import json
 import os
-import random
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from phylorank import bruteforce, cli, exactcount, seriesoracle, stats
+from phylorank import bruteforce, cli, exactcount, sampler, seriesoracle, stats
 from phylorank.cli import main
 from phylorank.seriesoracle import TruncatedSeries
 from phylorank.treecore import from_newick
@@ -275,7 +275,7 @@ _BROKEN_CHECKS = {
     **{f"rank-at-least-series-i{i}": (seriesoracle, "oracle_M", _bumped_series("oracle_M", i),
                                       f"rank-at-least series identity i={i}") for i in range(3)},
     # no shuffle: every draw deals the same labels, so all 3000 are one tree
-    "chi-square": (random.Random, "shuffle", lambda self, x: None,
+    "chi-square": (sampler, "_shuffle", lambda labels, seed: None,
                    "chi-square uniformity at n=3 (stat 6000.00 < 13.82)"),
     **{f"root-rank-count-i{i}": (exactcount.CountTable, "root_rank_count",
                                  _bumped_root_rank_count(i, 5), "triple agreement at n=5")
@@ -391,6 +391,45 @@ def test_sample_needs_no_table(capsys):
     (line,) = out.splitlines()
     tree = from_newick(line, 2)
     assert tree.n_leaves == 100001 and tree.n_vertices == 200001
+
+
+def test_sample_streams_its_trees(tmp_path):
+    # each tree is written as it is made, so the peak does not grow with
+    # --count; at the parent it grew by 7.4 MB from 1000 trees to 10,000
+    target = str(tmp_path / "trees.txt")
+    main(["sample", "--k", "2", "--n", "51", "--count", "1", "--output", target])  # warm-up
+
+    def peak(count):
+        tracemalloc.start()
+        try:
+            assert main(["sample", "--k", "2", "--n", "51", "--count", str(count),
+                         "--output", target]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    at_1000 = peak(1000)
+    assert peak(10_000) < at_1000 + 64 * 1024
+    with open(target) as fh:
+        assert sum(1 for _ in fh) == 10_000
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_sample_json_is_json_dumps_at_indent_2(capsys, count):
+    # the trees array is written element by element, byte for byte as before
+    code, out, _ = run(capsys, "sample", "--k", "3", "--n", "7", "--count", str(count),
+                       "--seed", "2", "--format", "json")
+    assert code == 0 and out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv", [["--k", "3", "--n", "4", "--count", "1"],
+                                  ["--k", "2", "--n", "1000000001", "--count", "1"],
+                                  ["--k", "2", "--n", "5", "--count", "-1"]])
+def test_sample_refuses_before_opening_the_output(capsys, tmp_path, argv):
+    target = tmp_path / "trees.txt"
+    code, _, err = run(capsys, "sample", *argv, "--output", str(target))
+    assert code == 2 and "error:" in err
+    assert not target.exists()
 
 
 def test_oversized_tree_refused(capsys):

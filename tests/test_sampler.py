@@ -7,10 +7,13 @@ from math import factorial
 
 import pytest
 
+from phylorank import sampler
 from phylorank.bruteforce import enumerate_all
 from phylorank.errors import DomainError
 from phylorank.exactcount import CountTable, MAX_TABLE_BYTES, internal_vertices
-from phylorank.sampler import BYTES_PER_VERTEX, _blocks_in_order, sample_batch, sample_rank_counts
+from phylorank.sampler import (
+    BYTES_PER_VERTEX, _blocks_in_order, _shuffle, sample_batch, sample_rank_counts,
+)
 from phylorank.treecore import census_of, rank_of, to_newick, validate
 
 FIGURE_ONE = {"((1,2),3);", "((1,3),2);", "((2,3),1);"}
@@ -137,6 +140,18 @@ def test_stream_pin_at_real_sizes():
     assert digest.hexdigest() == STREAM_PIN_SHA256
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2026, 2**64 + 7, 2**127 - 1])
+def test_shuffle_is_random_shuffle(seed):
+    # _shuffle writes out Random.shuffle's draws; should this interpreter's
+    # Random.shuffle draw otherwise, this fails before the stream moves.
+    # Lengths 1023..1025 and 2047..2049 cross the bit-length edges of i + 1.
+    for length in [*range(71), 1023, 1024, 1025, 2047, 2048, 2049]:
+        ours, theirs = list(range(1, length + 1)), list(range(1, length + 1))
+        _shuffle(ours, seed)
+        random.Random(seed).shuffle(theirs)
+        assert ours == theirs, length
+
+
 # ----- the bijection between trees and block partitions -------------------
 
 
@@ -198,7 +213,7 @@ def test_round_trip_is_a_bijection_onto_every_tree(k, n, monkeypatch):
     # the sampler deals the partition's blocks, last one first and each
     # reversed, in place of a shuffle; it must give back the very tree
     dealt = []
-    monkeypatch.setattr(random.Random, "shuffle", lambda self, x: x.__setitem__(slice(None), dealt))
+    monkeypatch.setattr(sampler, "_shuffle", lambda labels, seed: labels.__setitem__(slice(None), dealt))
     s = internal_vertices(k, n)
     partitions = set()
     for tree in enumerate_all(k, n):
@@ -224,7 +239,7 @@ def _census_counts(tree):
 def test_rank_counts_match_the_census_of_every_tree(k, n, monkeypatch):
     # each tree's own partition, dealt in place of the shuffle as above
     dealt = []
-    monkeypatch.setattr(random.Random, "shuffle", lambda self, x: x.__setitem__(slice(None), dealt))
+    monkeypatch.setattr(sampler, "_shuffle", lambda labels, seed: labels.__setitem__(slice(None), dealt))
     for tree in enumerate_all(k, n):
         dealt[:] = [x for b in _partition_of(tree) for x in b]
         (counts,) = sample_rank_counts(k, n, 1, base_seed=0)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 
@@ -287,6 +288,34 @@ def test_internal_sorts_every_permutation_canonically(k):
             assert v.rank == 1 + min(c.rank for c in children)
 
 
+def _random_subtree(rng, labels, k):
+    """A vertex over ``labels``, split at random into 2..k parts at each level."""
+    if len(labels) == 1:
+        return leaf(labels[0])
+    cuts = sorted(rng.sample(range(1, len(labels)), min(len(labels), k) - 1))
+    parts = [labels[a:b] for a, b in zip([0, *cuts], [*cuts, len(labels)])]
+    return internal([_random_subtree(rng, part, k) for part in parts])
+
+
+@pytest.mark.parametrize("k", range(2, 21))
+def test_internal_matches_its_definition_on_random_children(k):
+    # subtree sizes 1..4 only, so that equal-size siblings (ties broken by the
+    # least label) and differing ranks at one size are common
+    rng = random.Random(f"internal {k}")
+    for _ in range(40):
+        sizes = [rng.randint(1, 4) for _ in range(k)]
+        labels = rng.sample(range(1, sum(sizes) + 1), sum(sizes))
+        starts = list(itertools.accumulate(sizes, initial=0))
+        children = [_random_subtree(rng, labels[a:a + m], k) for a, m in zip(starts, sizes)]
+        for given in (children, map(children.__getitem__, range(k))):
+            v = internal(given)
+            assert list(v.children) == sorted(children, key=Vertex.sort_key)
+            assert v.size == sum(c.size for c in children) == sum(sizes)
+            assert v.rank == 1 + min(c.rank for c in children)
+            assert v.min_label == min(c.min_label for c in children)
+
+
 def test_internal_needs_a_child():
-    with pytest.raises(DomainError):
-        internal([])
+    for empty in ([], map(leaf, [])):
+        with pytest.raises(DomainError):
+            internal(empty)
