@@ -37,7 +37,7 @@ from .treecore import to_newick
 LIMITS_MAX_DIGITS = 200_000
 
 # largest series truncation order verify checks at: its table and series checks grow
-# 9- to 18-fold per doubling (k=2, through the library: 0.14 s at 128, 1.2 s at 256)
+# 3- to 7-fold per doubling (k=2, through the library: 0.03 s at 128, 0.14-0.20 s at 256)
 VERIFY_MAX_ORDER = 128
 
 

@@ -1,21 +1,17 @@
-"""Independent verification path: exact-rational truncated power series.
+"""Independent verification path: truncated power series on integers.
 
-The tree series T(x) satisfies T = x + T^k/k! and is the compositional
-inverse of F(x) = x - x^k/k!.  This module solves it in one pass on truncated
-series with :class:`fractions.Fraction` coefficients (products, and the one
-division per (k, order), V = 1/(1 - T^(k-1)/(k-1)!), run on integers over a
-common denominator), checks T(F(x)) = x on integers, and evaluates every
-generating-function identity used elsewhere coefficientwise, so any
-disagreement with the counting module is detected bit-exactly.
-
-No floating point appears anywhere here; that is the whole point.
+The tree series T(x) solves T = x + T^k/k! and inverts F(x) = x - x^k/k!.  Every
+series is held in y = x/k!, as the integers k!^n [x^n]A, and formed with one truncated
+product and one inverse of a series with constant term 1.  Each generating-function
+identity used elsewhere is checked coefficientwise, so any disagreement with the
+counting module shows bit-exactly.  No floating point appears here; that is the point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial
 from operator import mul
 
 from .errors import ConsistencyError, DomainError, require_int
@@ -32,139 +28,65 @@ __all__ = [
 
 
 class TruncatedSeries:
-    """A formal power series truncated at a fixed order, with exact coefficients.
+    """A power series A(x) through x^order, held as the integers
+    ``coeffs[n]`` = k!^n [x^n]A, its coefficients in y = x/k!.  Immutable."""
 
-    Arithmetic is closed under the truncation: all terms above ``order`` are
-    dropped.  Division requires a unit (nonzero constant term) denominator.
-    Instances are immutable.
-    """
+    __slots__ = ("k", "coeffs")
 
-    __slots__ = ("order", "coeffs")
+    def __init__(self, k: int, coeffs):
+        require_int(k, "branching factor", 2)
+        self.k = k
+        self.coeffs = tuple(coeffs)
 
-    def __init__(self, coeffs, order: int):
-        require_int(order, "truncation order", 0)
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs[: order + 1]]
-        cs.extend([Fraction(0)] * (order + 1 - len(cs)))
-        self.order = order
-        self.coeffs = tuple(cs)
+    @property
+    def order(self) -> int:
+        return len(self.coeffs) - 1
 
-    @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls([], order)
-
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        return cls([1], order)
-
-    @classmethod
-    def x(cls, order: int) -> "TruncatedSeries":
-        return cls([0, 1], order)
-
-    def coeff(self, n: int) -> Fraction:
+    def _scaled(self, n: int) -> int:
         if not 0 <= n <= self.order:
             raise DomainError(f"coefficient index {n} outside 0..{self.order}")
         return self.coeffs[n]
 
-    def labeled(self, n: int) -> Fraction:
-        """n! times the coefficient of x^n (the labeled count when integral)."""
-        return self.coeff(n) * factorial(n)
+    def coeff(self, n: int) -> Fraction:
+        """[x^n] of the series, exactly."""
+        return Fraction(self._scaled(n), factorial(self.k) ** n)
 
-    def _match(self, other: "TruncatedSeries") -> None:
-        if self.order != other.order:
-            raise DomainError("truncation orders differ")
-
-    def __add__(self, other):
-        if isinstance(other, TruncatedSeries):
-            self._match(other)
-            return TruncatedSeries(
-                [a + b for a, b in zip(self.coeffs, other.coeffs)], self.order
-            )
-        cs = list(self.coeffs)
-        cs[0] += other
-        return TruncatedSeries(cs, self.order)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncatedSeries([-a for a in self.coeffs], self.order)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        """The truncated product.  A series operand becomes integers over one common
-        denominator, so each coefficient is one integer dot product, then one Fraction."""
-        if not isinstance(other, TruncatedSeries):
-            q = Fraction(other)
-            return TruncatedSeries([a * q for a in self.coeffs], self.order)
-        self._match(other)
-        (u, du), (v, dv) = _numerators(self.coeffs), _numerators(other.coeffs)
-        return TruncatedSeries(
-            [Fraction(sum(map(mul, u[: n + 1], v[n::-1])), du * dv) for n in range(len(u))],
-            self.order,
-        )
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        require_int(e, "series power", 0)
-        if e == 0:
-            return TruncatedSeries.one(self.order)
-        if not any(self.coeffs[: self.order // e + 1]):  # valuation * e > order
-            return TruncatedSeries.zero(self.order)
-        base = self
-        while not e & 1:
-            base = base * base
-            e >>= 1
-        result = base  # the lowest set bit; square only while higher bits remain
-        e >>= 1
-        while e:
-            base = base * base
-            if e & 1:
-                result = result * base
-            e >>= 1
-        return result
-
-    def __truediv__(self, other):
-        """Division by a unit (nonzero constant term), exact.  Over common denominators,
-        self = u/du and other = v/dv, [x^n] of the quotient is (dv/du) q_n/v_0^(n+1)
-        with the integers q_n = u_n v_0^n - sum_{j=1..n} v_j v_0^(j-1) q_(n-j)."""
-        if not isinstance(other, TruncatedSeries):
-            other = TruncatedSeries([other], self.order)
-        self._match(other)
-        (u, du), (v, dv) = _numerators(self.coeffs), _numerators(other.coeffs)
-        v0 = v[0]
-        if v0 == 0:
-            raise DomainError("series division requires a unit denominator")
-        w = [vj * v0 ** (j - 1) for j, vj in enumerate(v) if j]  # w[j-1] = v_j v_0^(j-1)
-        q: list[int] = []
-        for un in u:
-            q.append(un * v0 ** len(q) - sum(map(mul, w, reversed(q))))
-        return TruncatedSeries(
-            [Fraction(dv * qn, du * v0 ** (n + 1)) for n, qn in enumerate(q)], self.order
-        )
+    def labeled(self, n: int) -> int:
+        """n! [x^n], the labeled count; :class:`ConsistencyError` unless an integer."""
+        count, rest = divmod(self._scaled(n) * factorial(n), factorial(self.k) ** n)
+        if rest:
+            raise ConsistencyError(f"lifting a k={self.k} series at n={n}: n! [x^n] is no integer "
+                                   f"({rest} left modulo k!^n = {factorial(self.k) ** n})")
+        return count
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
-
-    def __repr__(self):
-        head = ", ".join(str(c) for c in self.coeffs[: min(8, self.order + 1)])
-        tail = ", ..." if self.order > 7 else ""
-        return f"TruncatedSeries([{head}{tail}], order={self.order})"
+        return self.k == other.k and self.coeffs == other.coeffs
 
 
-def _numerators(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
-    """Integers u and d with coeffs[n] = u[n]/d, d the lcm of the denominators."""
-    d = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (d // c.denominator) for c in coeffs], d
+def _product(a, b) -> list[int]:
+    """The product of two integer series of one length, truncated to it."""
+    return [sum(map(mul, a[: n + 1], b[n::-1])) for n in range(len(a))]
+
+
+def _unit_inverse(a) -> list[int]:
+    """1/a for an integer series with constant term 1, truncated to its length:
+    q_0 = 1 and q_n = -sum_{j=1..n} a_j q_(n-j), all integers."""
+    if a[0] != 1:
+        raise DomainError("series inverse requires constant term 1")
+    q = [1]
+    for n in range(1, len(a)):
+        q.append(-sum(map(mul, a[1 : n + 1], reversed(q))))
+    return q
+
+
+def _power(a, e: int) -> list[int]:
+    """a^e for e >= 1, by squaring."""
+    if e == 1:
+        return list(a)
+    half = _power(_product(a, a), e // 2)
+    return _product(half, a) if e & 1 else half
 
 
 def _tree_numerators(k: int, order: int) -> list[int]:
@@ -182,71 +104,74 @@ def _tree_numerators(k: int, order: int) -> list[int]:
 
 @lru_cache(maxsize=8, typed=True)
 def solve_T(k: int, order: int) -> TruncatedSeries:
-    """The tree series through ``order``: the unique solution of T = x + T^k/k!
-    with zero constant term, in one pass, coefficient by coefficient
-    (:func:`_tree_numerators`); :class:`ConsistencyError` unless it then is a
-    fixed point.  Results are immutable and memoized on (k, order), so the
-    identities that share one series solve it once; the memo is typed, so
-    ``True`` or ``2.0`` never hits an entry made for 1 or 2 and is refused below.
-    """
+    """The tree series through ``order``, the solution of T = x + T^k/k! with zero
+    constant term, as k! S (:func:`_tree_numerators`); :class:`ConsistencyError`
+    unless S = y + k!^(k-2) S^k.  Memoized on (k, order), so the identities share
+    one solve; the memo is typed, so ``True`` or ``2.0`` never hits an entry made
+    for 1 or 2 and is refused below."""
     require_int(k, "branching factor", 2)
     require_int(order, "truncation order", 1)
-    kfac = factorial(k)
-    S = _tree_numerators(k, order)
-    T = TruncatedSeries([Fraction(s * kfac, kfac**n) for n, s in enumerate(S)], order)
-    if TruncatedSeries.x(order) + (T**k) * Fraction(1, kfac) != T:
+    S, scale = _tree_numerators(k, order), factorial(k) ** (k - 2)
+    fixed = [scale * s for s in _power(S, k)]
+    fixed[1] += 1
+    if fixed != S:
         raise ConsistencyError("the tree series is not a fixed point of T = x + T^k/k!")
-    return T
+    return TruncatedSeries(k, [factorial(k) * s for s in S])
+
+
+def _tree(k: int, order: int) -> list[int]:
+    """S = T/k! in y, read from :func:`solve_T`."""
+    return [t // factorial(k) for t in solve_T(k, order).coeffs]
+
+
+def _branch_factor(k: int, S: list[int]) -> list[int]:
+    """f = T^(k-1)/(k-1)! in y: k k!^(k-2) S^(k-1)."""
+    scale = k * factorial(k) ** (k - 2)
+    return [scale * s for s in _power(S, k - 1)]
 
 
 @lru_cache(maxsize=8, typed=True)
 def _vertex_factor(k: int, order: int) -> TruncatedSeries:
-    """V = 1/(1 - T^(k-1)/(k-1)!) through ``order``, the one series division of
+    """V = 1/(1 - T^(k-1)/(k-1)!) through ``order``, the one series inverse of
     the oracle, memoized like :func:`solve_T`: M_i = R_i V for every i."""
-    T = solve_T(k, order)
-    one = TruncatedSeries.one(order)
-    return one / (one - (T ** (k - 1)) * Fraction(1, factorial(k - 1)))
-
-
-def _times_power(s: TruncatedSeries, base, e: int) -> TruncatedSeries:
-    """s * base^e, forming no power when s is zero (base^e may have billions of digits)."""
-    return s * base**e if any(s.coeffs) else s
+    f = _branch_factor(k, _tree(k, order))
+    return TruncatedSeries(k, _unit_inverse([1 - f[0]] + [-c for c in f[1:]]))
 
 
 def verify_inverse(k: int, order: int) -> bool:
     """Check that T(F(x)) = x through ``order``, where F(x) = x - x^k/k!: the
-    other side of the inverse from the fixed point :func:`solve_T` checks.  On integers,
-    by x = k! y: T_0 = 0, every S_n = k!^(n-1) [x^n]T is an integer, and S(phi(y)) = y
-    for phi(y) = y - k!^(k-2) y^k, by Horner's rule: one shift and one scaled subtraction."""
-    T = solve_T(k, order)
+    other side of the inverse from the fixed point :func:`solve_T` checks.  In y:
+    T_0 = 0, every T_n is a multiple of k!, and S(phi(y)) = y for S = T/k! and
+    phi(y) = y - k!^(k-2) y^k, by Horner's rule: one shift and one scaled subtraction."""
+    T = solve_T(k, order).coeffs
     kfac = factorial(k)
-    S = [t * kfac ** (n - 1) for n, t in enumerate(T.coeffs) if n]
-    if T.coeffs[0] or any(s.denominator != 1 for s in S):
+    if T[0] or any(t % kfac for t in T):
         return False
     scale = kfac ** (k - 2)
     acc = [0] * (order + 1)  # [y^n] of S(phi(y)) so far
-    for s in reversed(S):
-        acc[0] += s.numerator
+    for t in reversed(T[1:]):
+        acc[0] += t // kfac
         shifted = [0] + acc[:-1]  # y * acc
         acc = [a - scale * b for a, b in zip(shifted, [0] * (k - 1) + shifted)]
     return acc == [0, 1] + [0] * (order - 1)
 
 
 def oracle_R(k: int, i: int, order: int) -> TruncatedSeries:
-    """Root-rank series: trees whose root has rank >= i, as T^(k^i) / k!^(c_i).
-    Zero, with no k!^(c_i) formed, once k^i > order."""
+    """Root-rank series: trees whose root has rank >= i, T^(k^i) / k!^(c_i), held in y
+    as k!^(k^i - c_i) S^(k^i).  Zero, with no power formed, once k^i > order."""
     require_int(i, "rank index", 0)
-    T = solve_T(k, order)
-    return _times_power(T ** (k**i), Fraction(1, factorial(k)), c_index(k, i))
+    S, e = _tree(k, order), k**i
+    if e > order:
+        return TruncatedSeries(k, [0] * (order + 1))
+    scale = factorial(k) ** (e - c_index(k, i))
+    return TruncatedSeries(k, [scale * s for s in _power(S, e)])
 
 
 def oracle_M(k: int, i: int, order: int) -> TruncatedSeries:
-    """Rank->=i vertex series: R_i / (1 - T^(k-1)/(k-1)!) = R_i V, with V memoized.
-
-    n! times its x^n coefficient counts vertices of rank at least i over all
-    trees on {1..n}.
-    """
-    return oracle_R(k, i, order) * _vertex_factor(k, order)
+    """Rank->=i vertex series R_i / (1 - T^(k-1)/(k-1)!) = R_i V, with V memoized: n! [x^n]
+    counts the vertices of rank at least i over all trees on {1..n}."""
+    R, V = oracle_R(k, i, order), _vertex_factor(k, order)
+    return TruncatedSeries(k, _product(R.coeffs, V.coeffs))
 
 
 def verify_theorem_decomposition(k: int, i: int, order: int) -> bool:
@@ -255,16 +180,21 @@ def verify_theorem_decomposition(k: int, i: int, order: int) -> bool:
 
     With f = T^(k-1)/(k-1)! and V = 1/(1 - f), T^(k^i) V = (k-1)!^(c_i) T (V - sum_{j<c_i} f^j)
     from f^c - 1 = (f-1)(f^(c-1) + ... + 1).  The sum stops at the first power of f that
-    vanishes through ``order``, so the work is bounded by the order, not by c_i.
-    """
+    vanishes through ``order``, and no power is formed for a side that is zero, so the
+    work is bounded by the order, not by c_i."""
     require_int(i, "rank index", 0)
-    T, V = solve_T(k, order), _vertex_factor(k, order)
-    c = c_index(k, i)
-    f = (T ** (k - 1)) * Fraction(1, factorial(k - 1))
-    geo, f_pow = TruncatedSeries.zero(order), TruncatedSeries.one(order)
+    S, V = _tree(k, order), _vertex_factor(k, order).coeffs
+    kfac, c, e = factorial(k), c_index(k, i), k**i
+    T, f = [kfac * s for s in S], _branch_factor(k, S)
+    left = _product(_power(T, e), V) if e <= order else [0] * (order + 1)
+    rest, f_pow = list(V), [1] + [0] * order  # V - sum_{j<c} f^j, and f^j
     for _ in range(c):
-        if not any(f_pow.coeffs):
+        if not any(f_pow):
             break
-        geo = geo + f_pow
-        f_pow = f_pow * f
-    return (T ** (k**i)) * V == _times_power(T * (V - geo), factorial(k - 1), c)
+        rest = [r - p for r, p in zip(rest, f_pow)]
+        f_pow = _product(f_pow, f)
+    right = _product(T, rest)
+    if any(right):
+        scale = factorial(k - 1) ** c
+        right = [scale * r for r in right]
+    return left == right

@@ -255,7 +255,7 @@ class _OffByOne(TruncatedSeries):
 def _bumped_series(name, i):
     """``seriesoracle.<name>`` with its series at rank i read one too high."""
     real = getattr(seriesoracle, name)
-    return lambda k, j, o: (_OffByOne if j == i else TruncatedSeries)(real(k, j, o).coeffs, o)
+    return lambda k, j, o: (_OffByOne if j == i else TruncatedSeries)(k, real(k, j, o).coeffs)
 
 
 def _bumped_root_rank_count(i, at):
