@@ -14,20 +14,25 @@ first, ties broken by the least label.
 Within one enumeration the trees on each block are built once, kept, and
 shared by every tree that contains that block (vertices are immutable); the
 trees on a root block of n-k+1 labels, which is never reused, are streamed.
-Every tree is still assembled vertex by vertex and counted by inspection, so
-the oracle keeps sharing no arithmetic with the other routes.
+For a census, beside each kept tree is its tally, its vertices counted by
+rank in one int: its children's tallies plus one at the rank of its built
+root.  The census adds up each tree's children's tallies and counts its
+root, k additions a tree in place of a walk; every tree is still built and
+every vertex counted by inspection, so the oracle shares no arithmetic with
+the other routes.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from collections import Counter
+from itertools import chain, combinations, product, repeat
 from math import factorial, prod
 from typing import Iterator
 
 from . import exactcount
 from .errors import DomainError, require_int
 from .render import decimal_str
-from .treecore import RankCensus, Tree, Vertex, internal, leaf
+from .treecore import RankCensus, Tree, internal, leaf
 
 DEFAULT_CAP = 10**7
 
@@ -35,23 +40,19 @@ DEFAULT_CAP = 10**7
 def _admissible_blocks(labels: tuple[int, ...], k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Unordered partitions of ``labels`` into k blocks of admissible sizes.
 
-    Yielded blocks are ordered by minimum element.  ``labels`` must be sorted.
-    A block size b is admissible when (b - 1) % (k - 1) == 0; every b here
-    is at least 1.
+    Yielded blocks are ordered by minimum element.  ``labels`` must be sorted,
+    and their number admissible.  A block size b is admissible when
+    (b - 1) % (k - 1) == 0, so b = 1, k, 2k-1, ...; what a block of admissible
+    size leaves then splits into admissible sizes whenever it is large enough.
     """
 
     def rec(remaining: tuple[int, ...], blocks_left: int):
         if blocks_left == 1:
-            if (len(remaining) - 1) % (k - 1) == 0:
-                yield (remaining,)
+            yield (remaining,)
             return
         anchor, rest = remaining[0], remaining[1:]
-        # anchor's block has admissible size b and must leave enough for the rest
-        for b in range(1, len(remaining) - blocks_left + 2):
-            if (b - 1) % (k - 1):
-                continue
-            if (len(remaining) - b - (blocks_left - 1)) % (k - 1) != 0:
-                continue
+        # anchor's block must leave at least one label to each other block
+        for b in range(1, len(remaining) - blocks_left + 2, k - 1):
             for extra in combinations(rest, b - 1):
                 block = (anchor,) + extra
                 left = tuple(x for x in rest if x not in extra)
@@ -74,12 +75,12 @@ def enumerate_all(k: int, n: int, cap: int = DEFAULT_CAP) -> Iterator[Tree]:
     not exceed ``DEFAULT_CAP``.  The trees on a block of n-k+1 labels are
     streamed.  The largest enumeration that cap admits, ``enumerate_all(2, 9)``
     (2,027,025 trees), keeps 469,017 trees on subsets of at most 7 labels,
-    the most of any k; on a shared 2-core x86-64 host it took 13 s at an
-    88 MB peak RSS, against 117 s at 20 MB when every subtree was rebuilt
-    for each tree that contains it.
+    the most of any k; on a shared 2-core x86-64 host it took 5.6 to 7.1 s
+    of CPU at an 88 MB peak RSS.  No tally is formed here: only a census
+    (:func:`brute_census_with_roots`) keeps them.
     """
     require_within_cap(k, n, cap)
-    return _enumerate(k, n)
+    return map(Tree, _enumerate(k, n, None), repeat(k))
 
 
 def require_within_cap(k: int, n: int, cap: int = DEFAULT_CAP) -> None:
@@ -107,48 +108,77 @@ def require_within_cap(k: int, n: int, cap: int = DEFAULT_CAP) -> None:
             )
 
 
-def _trees_on(labels: tuple[int, ...], k: int, memo: dict) -> Iterator[Vertex]:
-    """Every tree on ``labels``, one at a time, over the stored trees of each block."""
-    if len(labels) == 1:
-        yield leaf(labels[0])
-        return
-    for blocks in _admissible_blocks(labels, k):
-        for kids in product(*(_stored(block, k, memo) for block in blocks)):
-            yield internal(kids)
+def _joined(parts, k: int, memo: dict, unit: list[int] | None, side: int) -> Iterator[tuple]:
+    """Lazily, the children (side 0) or their tallies (side 1) of each tree with a stored
+    tree on each block of one of ``parts``; product varies the last block fastest."""
+    return chain.from_iterable(product(*(_stored(block, k, memo, unit)[side] for block in blocks))
+                               for blocks in parts)
 
 
-def _stored(block: tuple[int, ...], k: int, memo: dict) -> list[Vertex]:
+def _stored(block: tuple[int, ...], k: int, memo: dict, unit: list[int] | None) -> tuple:
+    """The trees on ``block`` and, given ``unit``, their tallies, built on first use; the
+    memo keeps one int object per distinct tally, under itself."""
     found = memo.get(block)
-    if found is None:
-        found = memo[block] = list(_trees_on(block, k, memo))
+    if found is None and len(block) == 1:
+        found = memo[block] = (leaf(block[0]),), (1,)
+    elif found is None:
+        parts, tallies = list(_admissible_blocks(block, k)), None
+        trees = tuple(map(internal, _joined(parts, k, memo, unit, 0)))
+        if unit:  # a tree's tally: its children's, plus one at its root's rank
+            below = map(sum, _joined(parts, k, memo, unit, 1))
+            tallies = [b + unit[tree.rank] for tree, b in zip(trees, below)]
+            tallies = tuple(map(memo.setdefault, tallies, tallies))
+        found = memo[block] = trees, tallies
     return found
 
 
-def _enumerate(k: int, n: int) -> Iterator[Tree]:
+def _enumerate(k: int, n: int, unit: list[int] | None) -> Iterator:
+    """Every tree on {1..n} as its root or, given ``unit`` (``unit[i]``: the tally of one
+    vertex of rank i), as its root beside the sum of its children's tallies."""
     if (n - 1) % (k - 1):
         return  # inadmissible: no trees, and no label tuple to build
     if n == 1:
-        yield Tree(leaf(1), k)
+        yield (leaf(1), 0) if unit else leaf(1)
         return
-    # label tuple -> its trees; a local of this generator (no cycle through a
-    # closure), so it is freed as soon as the stream ends or is dropped
-    memo: dict[tuple[int, ...], list[Vertex]] = {}
+    # label tuple -> (its trees, their tallies or None), and each distinct tally ->
+    # itself; a local of this generator (no cycle through a closure), so it is
+    # freed as soon as the stream ends or is dropped
+    memo: dict = {}
     for blocks in _admissible_blocks(tuple(range(1, n + 1)), k):
         big = max(blocks, key=len)
-        if len(big) == n - k + 1:
-            # The other k-1 blocks are single leaves, and this block occurs
-            # once per complement: its trees are streamed, never stored.
-            at = blocks.index(big)
-            kids = [leaf(block[0]) for block in blocks]
-            for sub in _trees_on(big, k, memo):
-                kids[at] = sub
-                yield Tree(internal(tuple(kids)), k)
-        else:
-            # product varies the last block fastest, which fixes the stream's order
-            for kids in product(*(_stored(block, k, memo) for block in blocks)):
-                yield Tree(internal(kids), k)
+        if len(big) < n - k + 1 or len(big) == 1:
+            trees = map(internal, _joined([blocks], k, memo, unit, 0))
+            yield from zip(trees, map(sum, _joined([blocks], k, memo, unit, 1))) if unit else trees
+            continue
+        # The other k-1 blocks are single leaves, and this block occurs once per
+        # complement: its trees are streamed, never stored.
+        parts, at = list(_admissible_blocks(big, k)), blocks.index(big)
+        kids = [leaf(block[0]) for block in blocks]
+        below = map(sum, _joined(parts, k, memo, unit, 1)) if unit else repeat(0)
+        for sub, b in zip(map(internal, _joined(parts, k, memo, unit, 0)), below):
+            kids[at] = sub
+            root = internal(kids)
+            yield (root, b + unit[sub.rank] + k - 1) if unit else root
 
 
 def brute_census(k: int, n: int, max_rank: int, cap: int = DEFAULT_CAP) -> RankCensus:
     """Aggregate per-rank vertex counts over every tree on {1..n}, by inspection."""
-    return RankCensus.of_trees(k, n, enumerate_all(k, n, cap=cap), max_rank)
+    return brute_census_with_roots(k, n, max_rank, cap)[0]
+
+
+def brute_census_with_roots(k: int, n: int, max_rank: int,
+                            cap: int = DEFAULT_CAP) -> tuple[RankCensus, RankCensus]:
+    """From one enumeration of the trees on {1..n}: :func:`brute_census`, and the
+    census of their roots alone (so ``count_rank_ge(i)`` is r_i(n))."""
+    require_within_cap(k, n, cap)
+    require_int(max_rank, "max_rank", 0)
+    # a rank's field in a tally holds every vertex of the most trees the cap
+    # admits, so that the tallies of all trees on {1..n} add up without carry
+    width = ((k * ((n - 1) // (k - 1)) + 1) * DEFAULT_CAP).bit_length()
+    below, roots, ranks = 0, Counter(), range(n.bit_length())
+    for root, children in _enumerate(k, n, [1 << width * rank for rank in ranks]):
+        below += children  # every vertex below a root
+        roots[root.rank] += 1
+    fields = {rank: below >> width * rank & (1 << width) - 1 for rank in ranks}
+    return (RankCensus.of_counts(k, n, roots + Counter(fields), max_rank),
+            RankCensus.of_counts(k, n, roots, max_rank))

@@ -1,25 +1,17 @@
 """The named checks of ``phylorank verify``, the acceptance suite and the demos, on a built
 :class:`CountTable`: enumeration, table and series oracle agree exactly; sampling is uniform."""
 
-from collections import Counter
-
 from . import bruteforce, seriesoracle, stats
 from .exactcount import CountTable
-from .treecore import RankCensus
 
 
 def triple_agreement(table: CountTable, n: int) -> bool:
-    """Whether one enumeration of the trees on {1..n} gives the table's census
-    of ranks 0..3, which fixes m_0..m_4, and its r_0..r_3 (r_0 = t)."""
-    roots = Counter()  # roots[i]: the trees whose root has rank i
-
-    def tally(tree):
-        roots[tree.root.rank] += 1
-        return tree
-
-    census = RankCensus.of_trees(table.k, n, map(tally, bruteforce.enumerate_all(table.k, n)), 3)
+    """Whether one enumeration of the trees on {1..n}, its census summed from the
+    trees' tallies, gives the table's census of ranks 0..3, which fixes m_0..m_4,
+    and its r_0..r_3 (r_0 = t) from the same trees' roots."""
+    census, roots = bruteforce.brute_census_with_roots(table.k, n, 3)
     return census == table.rank_census(n, 3) and all(
-        sum(c for r, c in roots.items() if r >= i) == table.root_rank_count(i, n) for i in range(4))
+        roots.count_rank_ge(i) == table.root_rank_count(i, n) for i in range(4))
 
 
 def series_identities(table: CountTable, order: int) -> list[tuple[str, bool]]:

@@ -758,7 +758,7 @@ class CountTable:
         _check_rank(max_rank, "max_rank")
         self._check_cover(n)
         if not is_admissible(self.k, n):
-            return RankCensus(k=self.k, n=n, exact=(), ratios=(), tail=0, total=0)
+            return RankCensus.of_counts(self.k, n, {}, max_rank)
         m_vals = [self.rank_ge_count(i, n) for i in range(max_rank + 2)]
         for lo, hi in zip(m_vals[1:], m_vals):
             if lo > hi:
@@ -768,8 +768,6 @@ class CountTable:
             raise ConsistencyError(
                 f"m_0({n}) = {total} != (k*s+1)*t = {self.total_vertex_count(n)}"
             )
-        exact = tuple(m_vals[i] - m_vals[i + 1] for i in range(max_rank + 1))
-        ratios = tuple(Fraction(e, total) for e in exact)
-        return RankCensus(
-            k=self.k, n=n, exact=exact, ratios=ratios, tail=m_vals[max_rank + 1], total=total
-        )
+        # rank i holds m_i - m_(i+1); the last key holds the m_(max_rank+1) of higher rank
+        by_rank = {i: hi - lo for i, (hi, lo) in enumerate(zip(m_vals, m_vals[1:]))}
+        return RankCensus.of_counts(self.k, n, by_rank | {max_rank + 1: m_vals[-1]}, max_rank)

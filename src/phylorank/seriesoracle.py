@@ -158,9 +158,9 @@ def verify_inverse(k: int, order: int) -> bool:
 
 def oracle_R(k: int, i: int, order: int) -> TruncatedSeries:
     """Root-rank series: trees whose root has rank >= i, T^(k^i) / k!^(c_i), held in y
-    as k!^(k^i - c_i) S^(k^i).  Zero, with no power formed, once k^i > order."""
+    as k!^(k^i - c_i) S^(k^i); zero, with no power formed, once 2^i or k^i > order."""
     require_int(i, "rank index", 0)
-    S, e = _tree(k, order), k**i
+    S, e = _tree(k, order), k**i if i < order.bit_length() else order + 1
     if e > order:
         return TruncatedSeries(k, [0] * (order + 1))
     scale = factorial(k) ** (e - c_index(k, i))
@@ -180,12 +180,13 @@ def verify_theorem_decomposition(k: int, i: int, order: int) -> bool:
 
     With f = T^(k-1)/(k-1)! and V = 1/(1 - f), T^(k^i) V = (k-1)!^(c_i) T (V - sum_{j<c_i} f^j)
     from f^c - 1 = (f-1)(f^(c-1) + ... + 1).  The sum stops at the first power of f that
-    vanishes through ``order``, and no power is formed for a side that is zero, so the
-    work is bounded by the order, not by c_i."""
+    vanishes through ``order``, no power is formed for a side that is zero, and past
+    i = order.bit_length() neither k^i nor c_i is formed (order + 1 stands for both,
+    as both exceed the order), so the work is bounded by the order, not by i."""
     require_int(i, "rank index", 0)
     S, V = _tree(k, order), _vertex_factor(k, order).coeffs
-    kfac, c, e = factorial(k), c_index(k, i), k**i
-    T, f = [kfac * s for s in S], _branch_factor(k, S)
+    e, c = (k**i, c_index(k, i)) if i <= order.bit_length() else (order + 1, order + 1)
+    T, f = [factorial(k) * s for s in S], _branch_factor(k, S)
     left = _product(_power(T, e), V) if e <= order else [0] * (order + 1)
     rest, f_pow = list(V), [1] + [0] * order  # V - sum_{j<c} f^j, and f^j
     for _ in range(c):

@@ -33,7 +33,7 @@ from .exactcount import (
     rank_ge_ratio,
 )
 from .sampler import sample_batch, sample_rank_counts
-from .treecore import to_newick
+from .treecore import RankCensus, to_newick
 
 __all__ = [
     "RankEstimateRow",
@@ -99,17 +99,14 @@ def estimate_rank_distribution(
                 f"sampled tree has {vertices} vertices, expected {expected_vertices}"
             )
         by_rank.update(tree_counts)
-    total = samples * expected_vertices
-    counts = [by_rank[i] for i in range(max_rank + 1)]
-
+    census = RankCensus.of_counts(k, n, by_rank, max_rank)
     rows = []
-    for i in range(max_rank + 1):
-        freq = Fraction(counts[i], total)
+    for i, (count, freq) in enumerate(zip(census.exact, census.ratios)):
         limit = rank_eq_limit(k, i)
         rows.append(
             RankEstimateRow(
                 rank=i,
-                count=counts[i],
+                count=count,
                 frequency=freq,
                 limit=limit,
                 deviation=abs(float(freq - limit)),
@@ -121,9 +118,9 @@ def estimate_rank_distribution(
         samples=samples,
         seed=base_seed,
         max_rank=max_rank,
-        total_vertices=total,
+        total_vertices=census.total,
         rows=tuple(rows),
-        tail_count=total - sum(counts),
+        tail_count=census.tail,
     )
 
 

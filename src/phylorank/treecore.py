@@ -24,9 +24,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from operator import attrgetter
-from typing import Iterable
+from typing import Mapping
 
 from .errors import DomainError, InvalidTreeError, NewickParseError, require_int
 
@@ -175,14 +174,14 @@ class RankCensus:
         return self.total - sum(self.exact[:i])
 
     @classmethod
-    def of_trees(cls, k: int, n: int, trees: Iterable[Tree], max_rank: int) -> "RankCensus":
-        """Census of every vertex of ``trees``, all on leaf set {1..n}."""
+    def of_counts(cls, k: int, n: int, by_rank: Mapping[int, int], max_rank: int) -> "RankCensus":
+        """Census of the vertices that ``by_rank`` counts, rank -> count; a rank
+        it does not name has none."""
         require_int(max_rank, "max_rank", 0)
-        by_rank = Counter(map(_rank, chain.from_iterable(map(Tree.vertices, trees))))
         total = sum(by_rank.values())
         if not total:
             return cls(k=k, n=n, exact=(), ratios=(), tail=0, total=0)
-        exact = tuple(by_rank[i] for i in range(max_rank + 1))
+        exact = tuple(by_rank.get(i, 0) for i in range(max_rank + 1))
         ratios = tuple(Fraction(e, total) for e in exact)
         return cls(k=k, n=n, exact=exact, ratios=ratios, tail=total - sum(exact), total=total)
 
@@ -230,7 +229,7 @@ def rank_of(tree: Tree, vertex: Vertex) -> int:
 
 def census_of(tree: Tree, max_rank: int) -> RankCensus:
     """Count vertices of each rank 0..max_rank; higher ranks go into the tail."""
-    return RankCensus.of_trees(tree.k, tree.n_leaves, (tree,), max_rank)
+    return RankCensus.of_counts(tree.k, tree.n_leaves, Counter(map(_rank, tree.vertices())), max_rank)
 
 
 def to_newick(tree: Tree) -> str:

@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 from itertools import islice
 from math import comb
 
@@ -7,7 +8,7 @@ import pytest
 from phylorank import bruteforce, exactcount
 from phylorank.errors import DomainError
 from phylorank.exactcount import CountTable, is_admissible, tree_count_closed
-from phylorank.treecore import rank_of, to_newick
+from phylorank.treecore import census_of, rank_of, to_newick
 
 FIGURE_ONE = {"((1,2),3);", "((1,3),2);", "((2,3),1);"}
 
@@ -150,6 +151,38 @@ def test_brute_census_matches_exact_table(k, n):
     assert bruteforce.brute_census(k, n, max_rank=3) == CountTable(k, n).rank_census(n, 3)
 
 
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_tallied_census_matches_a_walk_of_every_tree(k):
+    # census_of walks each tree's vertices: the reference the tallies must match
+    for n in range(1, 8):
+        trees = list(bruteforce.enumerate_all(k, n))
+        walked = [census_of(tree, 3) for tree in trees]
+        census, roots = bruteforce.brute_census_with_roots(k, n, 3)
+        assert (census.exact, census.tail, census.total) == (
+            tuple(map(sum, zip(*(c.exact for c in walked)))),
+            sum(c.tail for c in walked), sum(c.total for c in walked))
+        by_root = Counter(tree.root.rank for tree in trees)
+        assert roots.exact == (tuple(by_root[i] for i in range(4)) if trees else ())
+        assert roots.total == len(trees)
+
+
+def test_a_corrupted_tally_shows_in_the_census(monkeypatch):
+    # one vertex of rank 0 too many in the tally of the first stored tree on
+    # {1,2,3}; at n = 5 three trees hold it, as many as the trees on it, 4 and 5
+    real = bruteforce._stored
+
+    def stored(block, *rest):
+        trees, tallies = real(block, *rest)
+        return (trees, (tallies[0] + 1, *tallies[1:])) if block == (1, 2, 3) else (trees, tallies)
+
+    monkeypatch.setattr(bruteforce, "_stored", stored)
+    brute, table = bruteforce.brute_census(2, 5, 3), CountTable(2, 5).rank_census(5, 3)
+    assert brute != table
+    assert (brute.exact[0], brute.exact[1:], brute.total) == (
+        table.exact[0] + 3, table.exact[1:], table.total + 3)
+    assert bruteforce.brute_census(2, 4, 3) == CountTable(2, 4).rank_census(4, 3)  # streamed at n = 4
+
+
 # sha256 of the Newick stream, one tree per line, recorded before subtrees
 # were stored: `verify --dump-newick` and the support lists of test_remy.py
 # and test_recursive.py depend on this order
@@ -184,6 +217,10 @@ def test_each_subtree_is_built_once(monkeypatch):
         comb(9, m) * tree_count_closed(3, m) for m in range(2, 9) if is_admissible(3, m)
     )
     assert calls == expected == 26_824
+    # the census builds the same trees, each once, and reads their roots
+    calls = 0
+    census, roots = bruteforce.brute_census_with_roots(3, 9, 3)
+    assert calls == expected and roots.total == tree_count_closed(3, 9)
 
 
 def test_shared_subtrees_belong_to_every_tree_that_holds_them():

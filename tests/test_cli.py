@@ -264,9 +264,22 @@ def _bumped_root_rank_count(i, at):
     return lambda self, j, n: real(self, j, n) + (j == i and n == at)
 
 
+def _corrupted_tally(at):
+    """``bruteforce._stored`` with one vertex of rank 0 too many in the tally of
+    the first stored tree on the block ``at``."""
+    real = bruteforce._stored
+
+    def stored(block, *rest):
+        trees, tallies = real(block, *rest)
+        return (trees, (tallies[0] + 1, *tallies[1:])) if block == at else (trees, tallies)
+
+    return stored
+
+
 # each named check of verify at k=2, n_max=5, order 4: the one input broken
 # for it and the one FAIL line that must follow.  The series checks stop at
 # n = 4, so r_0 (the tree count) bumped at n = 5 reaches triple agreement only.
+# Trees on {1,2,3} are stored at n = 5 alone: at n = 4 that block is streamed.
 _BROKEN_CHECKS = {
     "inverse": (seriesoracle, "verify_inverse", lambda k, order: False,
                 "compositional inverse through order 4"),
@@ -280,6 +293,7 @@ _BROKEN_CHECKS = {
     **{f"root-rank-count-i{i}": (exactcount.CountTable, "root_rank_count",
                                  _bumped_root_rank_count(i, 5), "triple agreement at n=5")
        for i in (0, 3)},
+    "stored-tally": (bruteforce, "_stored", _corrupted_tally((1, 2, 3)), "triple agreement at n=5"),
 }
 
 
@@ -321,7 +335,9 @@ def test_verify_refuses_an_over_cap_n_max_before_enumerating(capsys, monkeypatch
     def refuse(*args, **kwargs):
         raise AssertionError("verify built or enumerated before checking its input")
 
+    # triple agreement enumerates through brute_census_with_roots, the rest through enumerate_all
     monkeypatch.setattr(bruteforce, "enumerate_all", refuse)
+    monkeypatch.setattr(bruteforce, "brute_census_with_roots", refuse)
     monkeypatch.setattr(cli, "CountTable", refuse)
     # t_{2,10} = 34,459,425 exceeds the cap; at k=3, n=14 has no trees but
     # n=13 has 190,590,400; at n_max = 3000 the scan stops at n = 10
@@ -356,6 +372,7 @@ def test_bad_input_is_a_usage_error_before_any_work(capsys, monkeypatch, argv):
         raise AssertionError("work started before the input was checked")
 
     monkeypatch.setattr(bruteforce, "enumerate_all", refuse)
+    monkeypatch.setattr(bruteforce, "brute_census_with_roots", refuse)
     monkeypatch.setattr(cli, "CountTable", refuse)
     try:
         code = main(argv)

@@ -127,6 +127,25 @@ def test_rank_functions_are_bounded_by_the_order(cleared_memos):
     assert time.process_time() - start < 0.1
 
 
+def test_a_huge_rank_index_forms_no_power(cleared_memos, monkeypatch):
+    # at i = 10^12, k^i and c_i could never be formed; the rank functions must
+    # decide from 2^i > order that their series are zero, with no power of k
+    # and no c_index, which would fail here
+    class K(int):
+        def __pow__(self, e, mod=None):
+            if e > 64:
+                raise AssertionError(f"k**{e} formed")
+            return int.__pow__(self, e, mod)
+
+    def refuse(k, i):
+        raise AssertionError(f"c_index({k}, {i}) formed")
+
+    monkeypatch.setattr(seriesoracle, "c_index", refuse)
+    zero = TruncatedSeries(3, [0] * 9)
+    assert oracle_R(K(3), 10**12, 8) == zero and oracle_M(K(3), 10**12, 8) == zero
+    assert verify_theorem_decomposition(K(3), 10**12, 8)
+
+
 @pytest.mark.parametrize("k,i,order", [(2, 1, 40), (3, 2, 30), (2, 3, 40)])
 def test_theorem_decomposition(k, i, order):
     assert verify_theorem_decomposition(k, i, order)

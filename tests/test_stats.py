@@ -88,7 +88,7 @@ def test_estimate_checks_each_tree_vertex_count(monkeypatch):
         lambda v: estimate_rank_distribution(2, 5, v, 1, 2),
         lambda v: estimate_rank_distribution(2, 5, 4, 1, v),
         lambda v: chi_square_uniformity(2, 3, v, 1),
-        lambda v: RankCensus.of_trees(2, 3, [], v),
+        lambda v: RankCensus.of_counts(2, 3, {}, v),
         lambda v: list(sample_batch(2, 5, v, 1)),
         lambda v: list(sample_rank_counts(2, 5, v, 1)),
     ],
