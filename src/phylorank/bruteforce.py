@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import chain, combinations, product, repeat
-from math import factorial, prod
 from typing import Iterator
 
 from . import exactcount
@@ -89,22 +88,19 @@ def require_within_cap(k: int, n: int, cap: int = DEFAULT_CAP) -> None:
     ``cap``.  A larger cap is refused because the subtrees an enumeration
     keeps grow with its trees (see :func:`enumerate_all`).
 
-    The count climbs t's exact term ratio over admissible m = 1, k, 2k-1, ...
-    up to n and stops at the first count over the cap, so a huge n forms no
+    The count climbs t's closed form over admissible m = 1, k, 2k-1, ... up
+    to n and stops at the first count over the cap, so a huge n forms no
     large integer."""
     require_int(cap, "enumeration cap", 0)
     if cap > DEFAULT_CAP:
         raise DomainError(f"enumeration cap {cap} exceeds the largest allowed, {DEFAULT_CAP}")
     if not exactcount.is_admissible(k, n):  # checks k and n
         return
-    kfac, total = factorial(k), 1  # t(1)
-    for s in range(1, (n - 1) // (k - 1) + 1):
-        # t((k-1)s + 1) = t((k-1)(s-1) + 1) * (ks-k+1)...(ks) / (s k!)
-        total = total * prod(range(k * s - k + 1, k * s + 1)) // (s * kfac)
-        if total > cap:
+    for m in range(1, n + 1, k - 1):
+        if (total := exactcount.tree_count_closed(k, m)) > cap:
             raise DomainError(
                 f"enumeration at k={k}, n={n} exceeds the safety cap {cap}: "
-                f"{decimal_str(total)} trees on {(k - 1) * s + 1} labels"
+                f"{decimal_str(total)} trees on {m} labels"
             )
 
 
@@ -161,16 +157,16 @@ def _enumerate(k: int, n: int, unit: list[int] | None) -> Iterator:
             yield (root, b + unit[sub.rank] + k - 1) if unit else root
 
 
-def brute_census(k: int, n: int, max_rank: int, cap: int = DEFAULT_CAP) -> RankCensus:
+def brute_census(k: int, n: int, max_rank: int) -> RankCensus:
     """Aggregate per-rank vertex counts over every tree on {1..n}, by inspection."""
-    return brute_census_with_roots(k, n, max_rank, cap)[0]
+    return brute_census_with_roots(k, n, max_rank)[0]
 
 
-def brute_census_with_roots(k: int, n: int, max_rank: int,
-                            cap: int = DEFAULT_CAP) -> tuple[RankCensus, RankCensus]:
-    """From one enumeration of the trees on {1..n}: :func:`brute_census`, and the
-    census of their roots alone (so ``count_rank_ge(i)`` is r_i(n))."""
-    require_within_cap(k, n, cap)
+def brute_census_with_roots(k: int, n: int, max_rank: int) -> tuple[RankCensus, RankCensus]:
+    """From one enumeration of the trees on {1..n}, at most ``DEFAULT_CAP`` of them:
+    :func:`brute_census`, and the census of their roots alone (so
+    ``count_rank_ge(i)`` is r_i(n))."""
+    require_within_cap(k, n)
     require_int(max_rank, "max_rank", 0)
     # a rank's field in a tally holds every vertex of the most trees the cap
     # admits, so that the tallies of all trees on {1..n} add up without carry

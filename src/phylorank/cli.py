@@ -28,7 +28,7 @@ from .exactcount import (
     limit_distribution,
     require_table_size,
 )
-from .render import decimal_str, exact, fraction_str
+from .render import decimal_str, exact
 from .sampler import sample_batch
 from .treecore import to_newick
 
@@ -183,7 +183,7 @@ def _cmd_convergence(args) -> int:
         columns: tuple[str, ...] = ()
         rows = [
             {"n": r.n, **exact("ratio", r.ratio), **exact("gap", r.gap),
-             "negligibility": {str(p): fraction_str(v) for p, v in r.negligibility.items()}}
+             "negligibility": {str(p): str(v) for p, v in r.negligibility.items()}}
             for r in report.rows
         ]
     else:

@@ -21,6 +21,7 @@ spines) are safe to process.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -263,6 +264,11 @@ def to_newick(tree: Tree) -> str:
     return tree._newick
 
 
+# a label (ASCII digits only: str.isdigit also takes '²' and '٣') or any one
+# other character; \s skips exactly what str.isspace calls whitespace
+_TOKEN = re.compile(r"[0-9]+|\S")
+
+
 def from_newick(text: str, k: int) -> Tree:
     """Parse a Newick string and validate it as a k-phylogenetic tree.
 
@@ -271,74 +277,47 @@ def from_newick(text: str, k: int) -> Tree:
     Raises :class:`NewickParseError` on syntax errors and
     :class:`InvalidTreeError` on arity or label violations.
     """
-    stack: list[list[Vertex]] = []
-    done: Vertex | None = None
+    # the children read so far of each open subtree, below them the tree itself
+    stack: list[list[Vertex]] = [[]]
     expect_item = True  # a subtree may start here ('(' or a label)
-    terminated = False
-    i, n = 0, len(text)
-
-    def fail(msg, pos):
-        raise NewickParseError(msg, pos)
-
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "(":
+    for match in _TOKEN.finditer(text):
+        token, i = match.group(), match.start()
+        if token == "(":
             if not expect_item:
-                fail("unexpected '('", i)
+                raise NewickParseError("unexpected '('", i)
             stack.append([])
-            i += 1
-        elif "0" <= ch <= "9":  # ASCII digits only: str.isdigit also takes '²' and '٣'
-            if not expect_item:
-                fail("unexpected label", i)
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            if not (label := int(text[i:j])):
-                raise InvalidTreeError(f"leaf label 0 is not a positive integer (at position {i})")
-            node = leaf(label)
-            if stack:
-                stack[-1].append(node)
-            else:
-                done = node
-            expect_item = False
-            i = j
-        elif ch == ",":
-            if not stack or expect_item:
-                fail("unexpected ','", i)
+        elif token == ",":
+            if len(stack) == 1 or expect_item:
+                raise NewickParseError("unexpected ','", i)
             expect_item = True
-            i += 1
-        elif ch == ")":
-            if not stack:
-                fail("unbalanced ')'", i)
+        elif token == ")":
+            if len(stack) == 1:
+                raise NewickParseError("unbalanced ')'", i)
             if expect_item:
-                fail("missing subtree before ')'", i)
+                raise NewickParseError("missing subtree before ')'", i)
             kids = stack.pop()
-            node = internal(kids)
-            if stack:
-                stack[-1].append(node)
-            else:
-                done = node
-            i += 1
-        elif ch == ";":
-            if stack:
-                fail("';' inside an unbalanced subtree", i)
-            if done is None:
-                fail("';' with no tree", i)
-            i += 1
-            if text[i:].strip():
-                fail("trailing content after ';'", i)
-            terminated = True
+            stack[-1].append(internal(kids))
+        elif token == ";":
+            if len(stack) > 1:
+                raise NewickParseError("';' inside an unbalanced subtree", i)
+            if not stack[0]:
+                raise NewickParseError("';' with no tree", i)
+            if text[i + 1:].strip():
+                raise NewickParseError("trailing content after ';'", i + 1)
             break
+        elif "0" <= token[0] <= "9":
+            if not expect_item:
+                raise NewickParseError("unexpected label", i)
+            if not (label := int(token)):
+                raise InvalidTreeError(f"leaf label 0 is not a positive integer (at position {i})")
+            stack[-1].append(leaf(label))
+            expect_item = False
         else:
-            fail(f"unexpected character {ch!r}", i)
+            raise NewickParseError(f"unexpected character {token!r}", i)
+    else:
+        raise NewickParseError("unterminated tree (missing ';')", len(text))
 
-    if not terminated:
-        fail("unterminated tree (missing ';')", n)
-
-    tree = Tree(done, k)
+    tree = Tree(stack[0][0], k)
     problem = validate(tree)
     if problem is not None:
         raise InvalidTreeError(problem)

@@ -91,6 +91,20 @@ def test_cap_enforced():
         next(iter(bruteforce.enumerate_all(2, 5, cap=10)))
 
 
+def test_a_cap_of_zero_admits_no_tree():
+    # t(1) = 1: the one tree on {1} is over a cap of 0
+    message = "enumeration at k=2, n=1 exceeds the safety cap 0: 1 trees on 1 labels"
+    with pytest.raises(DomainError) as err:
+        bruteforce.enumerate_all(2, 1, cap=0)
+    assert str(err.value) == message
+    with pytest.raises(DomainError, match="1 trees on 1 labels"):
+        bruteforce.require_within_cap(3, 7, 0)
+    # a cap of 1 still admits it, and the 3 trees on {1,2,3} are over it
+    assert [tree.n_leaves for tree in bruteforce.enumerate_all(2, 1, cap=1)] == [1]
+    with pytest.raises(DomainError, match="cap 1: 3 trees on 3 labels"):
+        bruteforce.require_within_cap(2, 3, 1)
+
+
 def test_cap_check_forms_no_large_factorial(monkeypatch):
     real = exactcount.factorial
 

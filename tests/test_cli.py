@@ -10,6 +10,7 @@ import pytest
 
 from phylorank import bruteforce, cli, exactcount, sampler, seriesoracle, stats
 from phylorank.cli import main
+from phylorank.errors import ConsistencyError
 from phylorank.seriesoracle import TruncatedSeries
 from phylorank.treecore import from_newick
 
@@ -380,6 +381,16 @@ def test_bad_input_is_a_usage_error_before_any_work(capsys, monkeypatch, argv):
         code = exc.code
     err = capsys.readouterr().err
     assert code == 2 and "error:" in err and "Traceback" not in err
+
+
+def test_consistency_error_exit_code(capsys, monkeypatch):
+    def broken(self, n):
+        raise ConsistencyError("tree count disagrees")
+
+    monkeypatch.setattr(exactcount.CountTable, "tree_count", broken)
+    code, out, err = run(capsys, "count", "--k", "2", "--n", "3")
+    assert code == 3 and out == ""
+    assert err == "internal consistency failure: tree count disagrees\n"
 
 
 def test_domain_error_exit_code(capsys):

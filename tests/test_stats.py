@@ -14,7 +14,7 @@ from phylorank.stats import (
     convergence_table,
     estimate_rank_distribution,
 )
-from phylorank.treecore import RankCensus, to_newick
+from phylorank.treecore import RankCensus, Tree, internal, leaf, to_newick
 
 
 # ---------------------------------------------------------------- estimates
@@ -190,6 +190,19 @@ def test_chi_square_statistic_flags_degenerate_source():
 def test_chi_square_support_cap():
     with pytest.raises(DomainError):
         chi_square_uniformity(2, 9, samples=10, base_seed=1, support_cap=100)
+
+
+def test_chi_square_refuses_a_tree_outside_the_support(monkeypatch):
+    real = stats.sample_batch
+
+    def with_an_outsider(k, n, samples, seed):
+        # the right shape and size, but on {1,2,4}: no tree the enumeration holds
+        *trees, _ = real(k, n, samples, seed)
+        return [*trees, Tree(internal([internal([leaf(1), leaf(2)]), leaf(4)]), k)]
+
+    monkeypatch.setattr(stats, "sample_batch", with_an_outsider)
+    with pytest.raises(ConsistencyError, match="outside the support"):
+        chi_square_uniformity(2, 3, samples=30, base_seed=1)
 
 
 def test_chi_square_inadmissible():

@@ -49,6 +49,7 @@ def test_canonical_newick_ternary_star():
         ("(4,((2,1),3));", "(((1,2),3),4);"),
         ("1;", "1;"),
         (" ( 1 , ( 2 , 3 ) ) ; ", "((2,3),1);"),
+        ("(1,2);\u2003\n", "(1,2);"),  # whitespace is what str.isspace says
     ],
 )
 def test_from_newick_canonicalizes(text, canonical):
@@ -71,6 +72,40 @@ def test_parse_errors_carry_position(bad):
     with pytest.raises(NewickParseError) as err:
         from_newick(bad, 2)
     assert err.value.position >= 0
+
+
+# every NewickParseError path, with its exact message and position
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("(1,2)(3,4);", "unexpected '('", 5),
+        ("(1,2) (3,4);", "unexpected '('", 6),
+        ("(1 2);", "unexpected label", 3),
+        ("(1,2)3;", "unexpected label", 5),
+        ("1,2;", "unexpected ','", 1),
+        ("(1,,2);", "unexpected ','", 3),
+        ("(,1,2);", "unexpected ','", 1),
+        ("(1,2));", "unbalanced ')'", 5),
+        (")", "unbalanced ')'", 0),
+        ("();", "missing subtree before ')'", 1),
+        ("(1,);", "missing subtree before ')'", 3),
+        ("((1,2);", "';' inside an unbalanced subtree", 6),
+        (";", "';' with no tree", 0),
+        ("  ;", "';' with no tree", 2),
+        ("(1,2);x", "trailing content after ';'", 6),
+        ("(1,2); \n x", "trailing content after ';'", 6),
+        ("(a,b);", "unexpected character 'a'", 1),
+        ("(1,2)\u00a0;x", "trailing content after ';'", 7),
+        ("(1,2)", "unterminated tree (missing ';')", 5),
+        ("(1,2) \t", "unterminated tree (missing ';')", 7),
+        ("", "unterminated tree (missing ';')", 0),
+    ],
+)
+def test_each_parse_error_message_and_position(text, message, position):
+    with pytest.raises(NewickParseError) as err:
+        from_newick(text, 2)
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
 
 
 @pytest.mark.parametrize("text, position", [("²;", 0), ("(1,٣);", 3), ("(1,2²);", 4)])
@@ -110,6 +145,22 @@ def test_validate_rejects_bad_label_set():
 def test_validate_rejects_duplicate_labels():
     t = Tree(internal([leaf(1), leaf(1)]), 2)
     assert validate(t) is not None
+
+
+def test_validate_rejects_a_leaf_labelled_zero():
+    # leaf() refuses 0, so the vertex is built directly
+    t = Tree(internal([leaf(1), Vertex(0, (), 0, 1, 0)]), 2)
+    assert validate(t) == "leaf label 0 is not a positive integer"
+    assert not is_valid(t)
+
+
+def test_validate_rejects_children_out_of_canonical_order():
+    # internal() sorts its children, so the vertex is built directly: the
+    # cherry {2,3} has more leaves than 1 and must come first
+    cherry = internal([leaf(2), leaf(3)])
+    t = Tree(Vertex(None, (leaf(1), cherry), 1, 3, 1), 2)
+    assert validate(t) == "children are not in canonical order"
+    assert not is_valid(t)
 
 
 def test_leaf_rejects_bad_labels():
