@@ -78,8 +78,26 @@ def internal(children) -> Vertex:
 
     Siblings have disjoint leaf-label sets in a valid tree, so the
     (size, min-label) key is a total order and the stored form is unique.
+    Two children are their own case: every vertex of a k = 2 tree has two,
+    and one comparison orders a pair for less than two sorts cost.
     """
-    kids = sorted(children, key=_min_label)
+    kids = tuple(children)
+    if len(kids) == 2:
+        a, b = kids
+        a_size, b_size = a.size, b.size
+        a_least, b_least = a.min_label, b.min_label
+        # the order of Vertex.sort_key: more leaves first, ties by least label
+        if a_size < b_size or a_size == b_size and b_least < a_least:
+            kids = b, a
+        a_rank, b_rank = a.rank, b.rank
+        return Vertex(
+            None,
+            kids,
+            a_least if a_least < b_least else b_least,
+            a_size + b_size,
+            1 + (a_rank if a_rank < b_rank else b_rank),
+        )
+    kids = sorted(kids, key=_min_label)
     if not kids:
         raise DomainError("an internal vertex needs at least one child")
     least = kids[0].min_label
@@ -102,7 +120,8 @@ class Tree:
     __slots__ = ("root", "k", "_preorder", "_newick", "_members")
 
     def __init__(self, root: Vertex, k: int):
-        require_int(k, "branching factor", 2)
+        if type(k) is not int or k < 2:  # the common case costs no call
+            require_int(k, "branching factor", 2)
         self.root = root
         self.k = k
         self._preorder = None
@@ -117,7 +136,8 @@ class Tree:
             while stack:
                 v = stack.pop()
                 order.append(v)
-                stack += v.children[::-1]
+                if v.children:
+                    stack += v.children[::-1]
             self._preorder = tuple(order)
         return self._preorder
 
@@ -249,11 +269,10 @@ def to_newick(tree: Tree) -> str:
                 continue
             tokens.append(str(v.label))
             while left:
-                left[-1] -= 1
-                if left[-1]:
+                if more := left.pop() - 1:
+                    left.append(more)
                     tokens.append(",")
                     break
-                left.pop()
                 tokens.append(")")
             if len(tokens) >= 4096:
                 chunks.append("".join(tokens))

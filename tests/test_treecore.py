@@ -170,6 +170,12 @@ def test_leaf_rejects_bad_labels():
         leaf(-3)
 
 
+@pytest.mark.parametrize("k", [True, 1, 2.0, "2"])
+def test_tree_rejects_a_bad_branching_factor(k):
+    with pytest.raises(DomainError, match=f"^branching factor must be an integer >= 2, got {k!r}$"):
+        Tree(leaf(1), k)
+
+
 def test_rank_of_leaf_is_zero():
     t = from_newick("(1,2);", 2)
     for v in t.vertices():
