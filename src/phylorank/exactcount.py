@@ -28,14 +28,13 @@ The rank-i exponent is c_i = (k^i - 1)/(k - 1), satisfying c_{i+1} = k*c_i + 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 from decimal import DivisionByZero, Inexact, InvalidOperation, Overflow, Rounded
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate
 from math import ceil, comb, factorial, gcd, lgamma, log, log2, perm, prod
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ConsistencyError, DomainError, TableCoverageError, require_int
 from .treecore import RankCensus
@@ -360,16 +359,14 @@ def negligibility_ratio(k: int, power: int, n: int) -> Fraction:
     return Fraction(power, k * s + 1) * factorial(k) ** d * product
 
 
-@dataclass(frozen=True)
-class LimitEntry:
+class LimitEntry(NamedTuple):
     rank: int
     c: int
     tail_prob: Fraction  # limiting P(rank >= i) = k^(-c_i)
     point_prob: Fraction  # limiting P(rank == i)
 
 
-@dataclass(frozen=True)
-class LimitDistribution:
+class LimitDistribution(NamedTuple):
     k: int
     entries: tuple[LimitEntry, ...]
 
@@ -418,8 +415,7 @@ def _compare_products(lhs_factors: Sequence[int], rhs_factors: Sequence[int]) ->
     return (lhs > rhs) - (lhs < rhs)
 
 
-@dataclass(frozen=True)
-class LogConcavityReport:
+class LogConcavityReport(NamedTuple):
     """Result of checking middle^2 >= left*right along one axis of P_{k,i}.
 
     ``axis`` is "k" for the claimed direction (k varies, rank fixed) or

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import bruteforce
 from .errors import ConsistencyError, DomainError, require_int
@@ -51,8 +50,10 @@ __all__ = [
 # ---------------------------------------------------------------- estimates
 
 
-@dataclass(frozen=True)
-class RankEstimateRow:
+class RankEstimateRow(NamedTuple):
+    """One rank's row of an :class:`EstimateReport`.  The field ``count``
+    shadows ``tuple.count`` on this record."""
+
     rank: int
     count: int
     frequency: Fraction  # count / total vertices observed
@@ -60,8 +61,7 @@ class RankEstimateRow:
     deviation: float  # |frequency - limit|
 
 
-@dataclass(frozen=True)
-class EstimateReport:
+class EstimateReport(NamedTuple):
     k: int
     n: int
     samples: int
@@ -170,8 +170,7 @@ def chi_square_critical(significance: float, df: int) -> float:
             return hi
 
 
-@dataclass(frozen=True)
-class UniformityReport:
+class UniformityReport(NamedTuple):
     k: int
     n: int
     samples: int
@@ -234,16 +233,14 @@ def chi_square_uniformity(
 # ------------------------------------------------------------ convergence
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     n: int
     ratio: Fraction  # m_i(n) / m_0(n)
     gap: Fraction  # |ratio - limit|
     negligibility: dict[int, Fraction]  # power -> [x^n]T^power / [x^n]M_0
 
 
-@dataclass(frozen=True)
-class ConvergenceTable:
+class ConvergenceTable(NamedTuple):
     k: int
     i: int
     limit: Fraction  # k^(-c_i)

@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import DomainError, InvalidTreeError, NewickParseError, require_int
 
@@ -165,8 +164,7 @@ class Tree:
         return f"Tree(k={self.k}, {to_newick(self)})"
 
 
-@dataclass(frozen=True)
-class RankCensus:
+class RankCensus(NamedTuple):
     """Vertex counts by rank at one (k, n): over every tree on {1..n}
     (``CountTable.rank_census``, ``brute_census``) or over one tree (``census_of``).
 

@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -229,7 +228,7 @@ def test_verify_fails_on_a_wrong_census(capsys, monkeypatch):
 
     def bumped(self, n, max_rank):
         c = census(self, n, max_rank)
-        return replace(c, exact=(c.exact[0] + 1, *c.exact[1:])) if n == 4 else c
+        return c._replace(exact=(c.exact[0] + 1, *c.exact[1:])) if n == 4 else c
 
     monkeypatch.setattr(exactcount.CountTable, "rank_census", bumped)
     code, out, _ = run(capsys, "verify", "--k", "2", "--n-max", "5")

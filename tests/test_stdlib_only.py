@@ -1,8 +1,10 @@
 """The package's runtime is the standard library alone: every import in
 ``src/phylorank`` names a standard-library module or ``phylorank`` itself
-(relative imports are the package's own)."""
+(relative imports are the package's own).  Importing it loads none of the
+introspection modules that would add to every process's start-up."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -43,3 +45,17 @@ def test_guard_catches_foreign_imports():
         "from phylorank.errors import DomainError\n"
     )
     assert foreign_imports(source) == ["numpy", "scipy"]
+
+
+def test_import_loads_no_introspection_modules():
+    """``import phylorank, phylorank.cli`` in a bare interpreter loads none of
+    the modules that ``dataclasses`` pulls in; each would add to start-up."""
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import phylorank, phylorank.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, str(SRC.parent)],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "[]"
