@@ -18,8 +18,10 @@ against its identity at every n before storing it and lifts each query back
 to an ``int`` count exactly; the class docstring says which identity checks
 which sequence, and how (every product by two-point Kronecker substitution
 into ``Decimal`` integers, in blocks sized from the product, which libmpdec
-multiplies by number-theoretic transform).  Any disagreement, inexact
-division or term off its residue class raises :class:`ConsistencyError`.
+multiplies by number-theoretic transform; r_2's identity forms none, its
+right side being a binomial sum of the forest counts that construction
+checked).  Any disagreement, inexact division or term off its residue class
+raises :class:`ConsistencyError`.
 
 Notation used throughout: a tree on n leaves exists iff (n-1) is divisible by
 (k-1); then s = (n-1)/(k-1) counts internal vertices and k*s+1 all vertices.
@@ -539,7 +541,9 @@ class CountTable:
       g_j for j <= k is built at construction, larger j by
       ``forest_count``, which builds only the O(log j) halves below it;
     * root ranks ``k! r_1 = g_k``, no product, r_1 being t off n = 1 (T = x +
-      T^k/k!) stored at construction, and ``k! r_i = r_{i-1}^{*k}``, i >= 2;
+      T^k/k!) stored at construction; ``k! r_2 = r_1^{*k}``, no product either,
+      (T - x)^k being a binomial sum of the g_0..g_k checked at construction
+      (``_r_1_power``); and ``k! r_i = r_{i-1}^{*k}``, i >= 3, k - 1 products;
     * rank-at-least ``m_i = r_i + m_i * f_{k-1}``.
 
     Every query lifts its stored value back to an ``int`` count, times
@@ -665,12 +669,27 @@ class CountTable:
         if i > self._top_rank:
             return self._zeros
         if i not in self._r:
-            below = [(f"r_{i - 1}", self._get_r(i - 1))] * self.k
+            below = ([("r_1^{*k}", self._r_1_power())] if i == 2
+                     else [(f"r_{i - 1}", self._get_r(i - 1))] * self.k)
             closed = self._closed(f"r_{i}", self.k**i, self._kfac ** c_index(self.k, i))
             self._check_identity("root-rank count", f"r_{i}", closed, below,
                                  scale=self._kfac_exact)
             self._r[i] = closed
         return self._r[i]
+
+    def _r_1_power(self) -> list[Decimal]:
+        """r_1^{*k} with no product: R_1 = T - x, x being k! at n = 1 reduced, so by the
+        binomial theorem it is the sum over j = 0..k of C(k, j) (-k!)^j G_{k-j}(n - j), G_0
+        1 at n = 0 only; it is the product because construction checked G_1..G_k."""
+        k, upto = self.k, self.n_max  # k^2 <= n_max, or r_2 would be the zeros
+        out, coef = [_ZERO] * (upto + 1), 1  # coef = C(k, j) (-k!)^j, by a running product
+        for j in range(k):
+            c, g = Decimal(coef), self._g[k - j]
+            for n in range(k, upto + 1, k - 1):  # G_{k-j}(n - j) is 0 off n = k + (k-1) s
+                out[n] = _EXACT.fma(c, g[n - j], out[n])
+            coef = coef * -self._kfac * (k - j) // (j + 1)
+        out[k] = _EXACT.add(out[k], coef)  # j = k: (-k!)^k G_0(n - k), at n = k only
+        return out
 
     def _get_m(self, i: int) -> Sequence[Decimal]:
         """m_i, built, checked against m_i = r_i + m_i * f_{k-1} and stored on

@@ -33,7 +33,6 @@ is Random.shuffle's, without its per-swap method calls.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from collections import Counter
 from heapq import heapify, heappop, heappush
@@ -104,9 +103,10 @@ def _shuffles(k: int, n: int, count: int, base_seed: int) -> Iterator[list[int]]
             f"a tree for k={k}, n={n} has {k * s + 1} vertices, over the "
             f"{MAX_TABLE_BYTES >> 20} MiB bound at {BYTES_PER_VERTEX} bytes each"
         )
+    from hashlib import blake2b  # here, not at start-up: hashlib loads the OpenSSL binding
     for j in range(count):
         labels = list(range(1, k * s + 1))
-        digest = hashlib.blake2b(f"phylorank:{base_seed}:{j}".encode(), digest_size=16).digest()
+        digest = blake2b(f"phylorank:{base_seed}:{j}".encode(), digest_size=16).digest()
         _shuffle(labels, int.from_bytes(digest, "big"))
         yield labels
 

@@ -1011,13 +1011,13 @@ def test_packed_product_of_the_table_sequences(k):
 
 @pytest.mark.parametrize(
     "k,seq",
-    [(2, "g_2"), (2, "r_2"), (3, "r_2"), (2, "m_1"), (3, "m_1")],
+    [(2, "g_2"), (2, "r_3"), (3, "r_3"), (2, "m_1"), (3, "m_1")],
 )
 @pytest.mark.parametrize("at", ["half", "n_max"])
 def test_packed_checks_fail_like_the_quadratic_ones(monkeypatch, k, seq, at):
     # images about 300 terms long; the same fault must fail the packed check
     # at the same n, with the same message, as with _cauchy_product in place
-    # of _packed_product.  r_2 is the first r_i whose check forms products
+    # of _packed_product.  r_3 is the first r_i whose check forms products
     n_max = (k - 1) * 300 + 3
     n = n_max // 2 if at == "half" else n_max
     _corrupt(monkeypatch, seq, n)
@@ -1206,13 +1206,13 @@ def test_a_factor_off_its_residue_class_is_refused(monkeypatch, route, at):
 @pytest.mark.parametrize("k", [4, 5])
 @pytest.mark.parametrize("route", ["packed", "quadratic"])
 def test_residue_class_images_pass_every_identity(monkeypatch, k, route):
-    # r_2 is a k-fold product; g_5 = g_2 * g_3 multiplies two classes.  The
+    # r_3 is a k-fold product; g_5 = g_2 * g_3 multiplies two classes.  The
     # quadratic route puts _cauchy_product in place of _packed_product
     n = 503
     if route == "quadratic":
         monkeypatch.setattr(exactcount, "_packed_product", _cauchy_product)
     table = CountTable(k, n)
-    for i in (1, 2):
+    for i in (1, 2, 3):
         table.root_rank_count(i, n)
         table.rank_ge_count(i, n)
     table.forest_count(5, n)
@@ -1239,15 +1239,64 @@ def test_k2_products_run_on_the_stored_lists(monkeypatch):
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_root_rank_one_forms_no_product(monkeypatch, k):
     # r_1 is t off n = 1, checked against g_k at construction with no
-    # product; k! r_2 = r_1^{*k} still takes its k - 1 products
-    table = CountTable(k, 31)
+    # product; k! r_2 = r_1^{*k} is the binomial sum of the checked g_j, no
+    # product either; k! r_3 = r_2^{*k} still takes its k - 1 products
+    n_max = k**3 + 1
+    table = CountTable(k, n_max)
     calls, spied = [], exactcount._packed_product
     monkeypatch.setattr(exactcount, "_packed_product",
                         lambda *args: calls.append(args) or spied(*args))
-    table.root_rank_count(1, 31)
+    table.root_rank_count(1, n_max)
+    table.root_rank_count(2, n_max)
     assert calls == []
-    table.root_rank_count(2, 31)
+    table.root_rank_count(3, n_max)
     assert len(calls) == k - 1
+
+
+def test_r_2_and_r_1_form_no_product_beside_the_m_checks(monkeypatch):
+    # the benchmark's queries on CountTable(2, 701): construction squares t
+    # for g_2 once; r_1 and r_2 then form no product, m_1 and m_2 one each
+    calls, spied = [], exactcount._packed_product
+    monkeypatch.setattr(exactcount, "_packed_product",
+                        lambda *args: calls.append(args) or spied(*args))
+    table = CountTable(2, 701)
+    made = [len(calls)]
+    for query, i in [(table.root_rank_count, 1), (table.rank_ge_count, 1),
+                     (table.root_rank_count, 2), (table.rank_ge_count, 2)]:
+        query(i, 701)
+        made.append(len(calls) - sum(made))
+    assert made == [1, 0, 1, 0, 1]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_r_1_power_is_the_k_fold_cauchy_power(k):
+    # R_1 = T - x: the binomial sum of C(k, j) (-k!)^j G_{k-j}(n - j) is
+    # r_1^{*k} term by term, the terms from n = k to k^2 - 1 cancelling to 0
+    n_max = 120
+    table = CountTable(k, n_max)
+    power = reduce(lambda x, y: _cauchy_product(x, y, n_max), [table._get_r(1)] * k)
+    assert table._r_1_power() == power
+    assert not any(power[:k * k]) and power[k * k]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("at", ["half", "n_max"])
+def test_a_fault_in_r_2_meets_the_binomial_sum(monkeypatch, k, at):
+    # +1 on the closed r_2 at about n_max/2 or at n_max: the message is the one
+    # the k-fold product route gave, its right side r_1^{*k} by _cauchy_product
+    n_max = (k - 1) * 100 + 1
+    n = 1 + (k - 1) * 50 if at == "half" else n_max
+    clean = CountTable(k, n_max)
+    closed = exactcount._EXACT.add(clean._get_r(2)[n], 1)
+    power = reduce(lambda x, y: _cauchy_product(x, y, n_max), [clean._get_r(1)] * k)
+    left = exactcount._EXACT.multiply(closed, factorial(k))
+    _corrupt(monkeypatch, "r_2", n)
+    with pytest.raises(ConsistencyError) as err:
+        CountTable(k, n_max).root_rank_count(2, n_max)
+    assert str(err.value) == (
+        f"root-rank count at n={n}: closed form r_2({n}) = {closed} breaks its "
+        f"convolution identity ({left} != {power[n]}, all reduced)"
+    )
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])

@@ -47,15 +47,26 @@ def test_guard_catches_foreign_imports():
     assert foreign_imports(source) == ["numpy", "scipy"]
 
 
+def loaded_at_import(names: set[str]) -> str:
+    """Which of ``names`` ``import phylorank, phylorank.cli`` loads in a bare
+    interpreter, as the printed sorted list."""
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import phylorank, phylorank.cli; "
+        f"print(sorted(set({sorted(names)!r}) & set(sys.modules)))"
+    )
+    return subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, str(SRC.parent)],
+        capture_output=True, text=True, check=True,
+    ).stdout.strip()
+
+
 def test_import_loads_no_introspection_modules():
     """``import phylorank, phylorank.cli`` in a bare interpreter loads none of
     the modules that ``dataclasses`` pulls in; each would add to start-up."""
-    code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import phylorank, phylorank.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))"
-    )
-    out = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", code, str(SRC.parent)],
-        capture_output=True, text=True, check=True,
-    ).stdout
-    assert out.strip() == "[]"
+    assert loaded_at_import({"dataclasses", "inspect", "ast", "dis"}) == "[]"
+
+
+def test_import_loads_no_openssl_binding():
+    """The same import leaves out ``hashlib`` and its OpenSSL binding
+    ``_hashlib``: only sampling seeds by ``blake2b``, so only a batch imports it."""
+    assert loaded_at_import({"hashlib", "_hashlib"}) == "[]"
