@@ -6,9 +6,9 @@ Exit codes: 0 success, 2 domain/usage error, 3 internal consistency failure.
 
 Exact values print as decimal integers or "p/q" rationals, accompanied by
 12-significant-digit decimals where a magnitude helps; JSON output follows
-docs/cli_output.schema.json.  The table reports (census, limits, estimate,
-convergence) print through one emitter, ``_emit_table``; convergence alone
-builds different rows for its TSV and its JSON.
+docs/cli_output.schema.json.  One writer, ``_emit_table``, streams every
+report (census, limits, estimate, convergence, and sample's JSON) a row or tree
+at a time; convergence alone builds different rows for its TSV and its JSON.
 """
 
 from __future__ import annotations
@@ -39,6 +39,8 @@ LIMITS_MAX_DIGITS = 200_000
 # largest series truncation order verify checks at: its table and series checks grow
 # 3- to 7-fold per doubling (k=2, through the library: 0.03 s at 128, 0.14-0.20 s at 256)
 VERIFY_MAX_ORDER = 128
+# one report item at indent 2; made once, as with an indent it runs in pure Python
+_ITEM_JSON = json.JSONEncoder(indent=2, check_circular=False)  # an item holds no cycle
 
 
 def _require_printable_limit(k: int, i: int) -> None:
@@ -74,19 +76,25 @@ def _emit(chunks: Iterable[str], path: str | None) -> None:
             fh.writelines(chunks)
 
 
-def _emit_table(args, head: dict, columns: Sequence[str], rows: list[dict]) -> None:
-    """Print a table report in ``args.format``.  JSON is the command, the
-    ``head`` fields and the rows; TSV is the ``columns`` line, then each row's
-    values in column order, a float as %.6e."""
+def _emit_table(args, head: dict, columns: Sequence[str], rows: Iterable, key="rows") -> None:
+    """Write a report in ``args.format``, formatting each item of ``rows`` as
+    it is written.  JSON is ``json.dumps`` at indent 2, byte for byte, of the
+    command, the ``head`` fields and the items as ``key``; TSV is the
+    ``columns`` line, then each row's values in column order, a float as %.6e."""
+    def json_chunks() -> Iterator[str]:  # [:-2] drops the head's closing "\n}"
+        yield json.dumps({"command": args.command, **head}, indent=2)[:-2] + f',\n  "{key}": ['
+        sep, end = "\n    ", "]\n}\n"
+        for item in rows:
+            yield sep + _ITEM_JSON.encode(item).replace("\n", "\n    ")
+            sep, end = ",\n    ", "\n  ]\n}\n"
+        yield end
+
     if args.format == "json":
-        text = json.dumps({"command": args.command, **head, "rows": rows}, indent=2)
+        _emit(json_chunks(), args.output)
     else:
-        lines = ["\t".join(columns)]
-        for row in rows:
-            cells = (row[c] for c in columns)
-            lines.append("\t".join(f"{v:.6e}" if isinstance(v, float) else str(v) for v in cells))
-        text = "\n".join(lines)
-    _emit([text + "\n"], args.output)
+        lines = ("\t".join(f"{v:.6e}" if isinstance(v, float) else str(v)
+                           for v in map(row.__getitem__, columns)) + "\n" for row in rows)
+        _emit(chain(["\t".join(columns) + "\n"], lines), args.output)
 
 
 def _int_list(text: str) -> list[int]:
@@ -109,10 +117,10 @@ def _cmd_census(args) -> int:
     census = CountTable(args.k, args.n).rank_census(args.n, args.max_rank)
     head = {"k": args.k, "n": args.n, "max_rank": args.max_rank,
             "total": str(census.total), "tail": str(census.tail)}
-    rows = [
+    rows = (
         {"rank": i, "count": str(e), **exact("ratio", r)}
         for i, (e, r) in enumerate(zip(census.exact, census.ratios))
-    ]
+    )
     _emit_table(args, head, ("rank", "count", "ratio", "ratio_decimal"), rows)
     return 0
 
@@ -120,11 +128,11 @@ def _cmd_census(args) -> int:
 def _cmd_limits(args) -> int:
     _require_printable_limit(args.k, args.max_rank + 1)
     dist = limit_distribution(args.k, args.max_rank)
-    rows = [
+    rows = (
         {"rank": e.rank, "c": str(e.c), **exact("tail_prob", e.tail_prob),
          **exact("point_prob", e.point_prob)}
         for e in dist.entries
-    ]
+    )
     columns = ("rank", "c", "tail_prob", "tail_prob_decimal", "point_prob", "point_prob_decimal")
     _emit_table(args, {"k": args.k, "max_rank": args.max_rank}, columns, rows)
     return 0
@@ -136,20 +144,11 @@ def _cmd_sample(args) -> int:
     newicks = map(to_newick, sample_batch(args.k, args.n, args.count, args.seed))
     newicks = chain(list(islice(newicks, 1)), newicks)
     if args.format == "json":
-        _emit(_sample_json(args, newicks), args.output)
+        head = {"k": args.k, "n": args.n, "count": args.count, "seed": args.seed}
+        _emit_table(args, head, (), newicks, "trees")
     else:
         _emit((line + "\n" for line in newicks), args.output)
     return 0
-
-
-def _sample_json(args, newicks: Iterable[str]) -> Iterator[str]:
-    """``json.dumps`` of the sample payload at indent 2, byte for byte, with
-    its ``trees`` array written an element at a time."""
-    head = {"command": "sample", "k": args.k, "n": args.n, "count": args.count, "seed": args.seed}
-    yield json.dumps(head, indent=2)[:-2] + ',\n  "trees": ['  # [:-2] drops the closing "\n}"
-    for i, newick in enumerate(newicks):
-        yield (",\n    " if i else "\n    ") + json.dumps(newick)
-    yield "\n  ]\n}\n" if args.count else "]\n}\n"
 
 
 def _cmd_estimate(args) -> int:
@@ -160,11 +159,11 @@ def _cmd_estimate(args) -> int:
     head = {"k": report.k, "n": report.n, "samples": report.samples, "seed": report.seed,
             "max_rank": report.max_rank, "total_vertices": report.total_vertices,
             "tail_count": report.tail_count}
-    rows = [
+    rows = (
         {"rank": r.rank, "count": str(r.count), **exact("frequency", r.frequency),
          **exact("limit", r.limit), "deviation": r.deviation}
         for r in report.rows
-    ]
+    )
     columns = ("rank", "count", "frequency", "frequency_decimal", "limit", "limit_decimal",
                "deviation")
     _emit_table(args, head, columns, rows)
@@ -181,21 +180,21 @@ def _cmd_convergence(args) -> int:
     if args.format == "json":
         head = {"k": report.k, "i": report.i, **exact("limit", report.limit)}
         columns: tuple[str, ...] = ()
-        rows = [
+        rows = (
             {"n": r.n, **exact("ratio", r.ratio), **exact("gap", r.gap),
              "negligibility": {str(p): str(v) for p, v in r.negligibility.items()}}
             for r in report.rows
-        ]
+        )
     else:
         head, negs, limit = {}, sorted(set(powers)), decimal_str(report.limit)
         columns = ("n", "ratio", "ratio_decimal", "limit_decimal", "gap_decimal",
                    *(f"neg_T^{p}" for p in negs))
-        rows = [
+        rows = (
             {"n": r.n, **exact("ratio", r.ratio), "limit_decimal": limit,
              "gap_decimal": decimal_str(r.gap),
              **{f"neg_T^{p}": decimal_str(r.negligibility[p]) for p in negs}}
             for r in report.rows
-        ]
+        )
     _emit_table(args, head, columns, rows)
     return 0
 

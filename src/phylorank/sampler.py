@@ -93,6 +93,8 @@ def _shuffles(k: int, n: int, count: int, base_seed: int) -> Iterator[list[int]]
     """For each sample j, {1..ks} shuffled by its own seeded generator, once
     the arguments and the memory bound are checked."""
     require_int(count, "count", 0)
+    if not isinstance(base_seed, int) or isinstance(base_seed, bool):  # of any sign, as --seed
+        raise DomainError(f"seed must be an integer, got {base_seed!r}")
     if count == 0:
         return
     if not is_admissible(k, n):

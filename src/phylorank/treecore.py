@@ -186,8 +186,9 @@ class RankCensus(NamedTuple):
         return len(self.exact) - 1
 
     def count_rank_ge(self, i: int) -> int:
-        """Vertices of rank >= i.  Defined for i <= max_rank + 1, and for
-        every i when the census is empty."""
+        """Vertices of rank >= i.  Defined for 0 <= i <= max_rank + 1, and
+        for every i >= 0 when the census is empty."""
+        require_int(i, "rank index", 0)
         if self.total and i > len(self.exact):
             raise DomainError(f"census only covers ranks up to {self.max_rank}")
         return self.total - sum(self.exact[:i])

@@ -1,3 +1,5 @@
+import argparse
+import io
 import json
 import os
 import subprocess
@@ -447,6 +449,58 @@ def test_sample_json_is_json_dumps_at_indent_2(capsys, count):
     code, out, _ = run(capsys, "sample", "--k", "3", "--n", "7", "--count", str(count),
                        "--seed", "2", "--format", "json")
     assert code == 0 and out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+_ROW = {"rank": 0, "count": "7", "ratio": "4/7", "ratio_decimal": "0.571428571429"}
+_WRITER_PAYLOADS = {
+    "no rows": ({"k": 3, "total": "0"}, ("rank", "count"), []),
+    "one row": ({"k": 2}, tuple(_ROW), [_ROW]),
+    "many rows": ({"k": 2, "n": 4}, tuple(_ROW), [{**_ROW, "rank": i} for i in range(50)]),
+    "nested dicts": ({"i": 1}, ("n", "negligibility"),
+                     [{"n": 3, "negligibility": {}}, {"n": 5, "negligibility": {"2": "1/3"}}]),
+    "floats": ({"x": 0.1}, ("rank", "deviation"),
+               [{"rank": i, "deviation": v} for i, v in enumerate([0.0, -0.0, 0.1, 1e-300,
+                                                                  1.5e300, 2.0 / 3])]),
+    "strings": ({"note": 'a "b" \\ c'}, ("name",),
+                [{"name": v} for v in ['say "hi"', "back\\slash", "new\nline", "naïve π", "😀"]]),
+}
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+@pytest.mark.parametrize("name", list(_WRITER_PAYLOADS))
+def test_report_writer_is_byte_identical(capsys, name, fmt):
+    # JSON as json.dumps of the whole payload, TSV as the join of every line
+    head, columns, rows = _WRITER_PAYLOADS[name]
+    args = argparse.Namespace(command="census", format=fmt, output=None)
+    cli._emit_table(args, head, columns, iter(rows))
+    if fmt == "json":
+        expected = json.dumps({"command": "census", **head, "rows": rows}, indent=2) + "\n"
+    else:
+        lines = ["\t".join(columns)]
+        for row in rows:
+            cells = (row[c] for c in columns)
+            lines.append("\t".join(f"{v:.6e}" if isinstance(v, float) else str(v) for v in cells))
+        expected = "\n".join(lines) + "\n"
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_census_rows_are_formatted_as_they_are_written(monkeypatch, fmt):
+    # row i is formatted once the i chunks before it are written, so no report
+    # is held whole; formatting every row before the first write fails this
+    class Stdout(io.StringIO):
+        chunks = 0
+
+        def write(self, text):
+            self.chunks += 1
+            return super().write(text)
+
+    out, seen, exact = Stdout(), [], cli.exact
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(cli, "exact", lambda name, v: seen.append(out.chunks) or exact(name, v))
+    assert main(["census", "--k", "2", "--n", "4", "--max-rank", "5", "--format", fmt]) == 0
+    assert seen == [1, 2, 3, 4, 5, 6]
+    assert out.chunks == (8 if fmt == "json" else 7)  # head, 6 rows, JSON's close
 
 
 @pytest.mark.parametrize("argv", [["--k", "3", "--n", "4", "--count", "1"],

@@ -1,8 +1,11 @@
-"""Every README command, run in process, against its recorded stdout.
+"""Every README command, and the JSON shapes those miss, run in process against
+its recorded stdout.
 
 Each file in ``tests/golden/`` holds the byte-exact output of one command
 below, so a change to an exact value, a report's layout or the random stream
-behind a seed shows up here.
+behind a seed shows up here.  Besides the README commands there are a report
+with no rows, a sample of no trees, a report of one row and convergence rows
+whose negligibility map is empty.
 """
 
 from pathlib import Path
@@ -28,6 +31,10 @@ COMMANDS = {
         "convergence --k 2 --i 1 --n-grid 3,11,101,501 --negligibility 2,3 --format json"
     ),
     "verify": "verify --k 2 --n-max 8",
+    "census_empty_json": "census --k 3 --n 2 --max-rank 1 --format json",
+    "sample_none_json": "sample --k 2 --n 5 --count 0 --format json",
+    "limits_one_row_json": "limits --k 3 --max-rank 0 --format json",
+    "convergence_no_negligibility_json": "convergence --k 2 --i 1 --n-grid 3,11 --format json",
 }
 
 

@@ -82,5 +82,10 @@ def test_census_methods():
     empty = RankCensus.of_counts(2, 2, {}, 3)
     assert empty == RankCensus(k=2, n=2, exact=(), ratios=(), tail=0, total=0)
     assert (empty.max_rank, empty.count_rank_ge(5)) == (-1, 0)
+    # a rank that does not exist is refused, not read off a slice
+    for census in (c, empty):
+        for bad in (-1, 2.5, True):
+            with pytest.raises(DomainError, match="rank index"):
+                census.count_rank_ge(bad)
     with pytest.raises(DomainError):
         RankCensus.of_counts(2, 4, {0: 4}, -1)

@@ -105,6 +105,21 @@ def test_bad_arguments():
         list(sample_batch(2, 5, -1, base_seed=1))
 
 
+@pytest.mark.parametrize("draw", [sample_batch, sample_rank_counts])
+@pytest.mark.parametrize("seed", ["1", 1.0, True, None])
+def test_seed_must_be_an_int(draw, seed):
+    # formatted into the hash key, "1" was seed 1 and 1.0 or True another stream
+    with pytest.raises(DomainError, match="seed"):
+        list(draw(2, 7, 2, seed))
+    with pytest.raises(DomainError, match="seed"):
+        list(draw(2, 7, 0, seed))
+
+
+@pytest.mark.parametrize("draw", [sample_batch, sample_rank_counts])
+def test_negative_seeds_are_valid(draw):
+    assert len(list(draw(2, 7, 2, -3))) == 2
+
+
 def test_memory_guard_refuses_huge_trees_at_once():
     tracemalloc.start()
     try:

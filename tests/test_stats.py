@@ -65,6 +65,8 @@ def test_estimate_domain_errors():
         estimate_rank_distribution(2, 9, 0, base_seed=1, max_rank=2)
     with pytest.raises(DomainError):
         estimate_rank_distribution(3, 4, 5, base_seed=1, max_rank=2)
+    with pytest.raises(DomainError, match="seed"):  # it once ran and reported seed "x"
+        estimate_rank_distribution(2, 7, 2, base_seed="x", max_rank=1)
 
 
 def test_estimate_checks_each_tree_vertex_count(monkeypatch):
