@@ -34,7 +34,7 @@ from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 from decimal import DivisionByZero, Inexact, InvalidOperation, Overflow, Rounded
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, pairwise
 from math import ceil, comb, factorial, gcd, lgamma, log, log2, perm, prod
 from typing import NamedTuple, Sequence
 
@@ -775,7 +775,7 @@ class CountTable:
         if not is_admissible(self.k, n):
             return RankCensus.of_counts(self.k, n, {}, max_rank)
         m_vals = [self.rank_ge_count(i, n) for i in range(max_rank + 2)]
-        for lo, hi in zip(m_vals[1:], m_vals):
+        for hi, lo in pairwise(m_vals):
             if lo > hi:
                 raise ConsistencyError("rank-at-least counts are not monotone")
         total = m_vals[0]
@@ -784,5 +784,6 @@ class CountTable:
                 f"m_0({n}) = {total} != (k*s+1)*t = {self.total_vertex_count(n)}"
             )
         # rank i holds m_i - m_(i+1); the last key holds the m_(max_rank+1) of higher rank
-        by_rank = {i: hi - lo for i, (hi, lo) in enumerate(zip(m_vals, m_vals[1:]))}
-        return RankCensus.of_counts(self.k, n, by_rank | {max_rank + 1: m_vals[-1]}, max_rank)
+        by_rank = {i: hi - lo for i, (hi, lo) in enumerate(pairwise(m_vals))}
+        by_rank[max_rank + 1] = m_vals[-1]
+        return RankCensus.of_counts(self.k, n, by_rank, max_rank)

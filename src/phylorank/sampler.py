@@ -18,11 +18,16 @@ reads off its sibling sets.
 
 So a tree needs one uniform partition: one shuffle of {1..N}, cut into s
 blocks of k (each partition arises from s! k!^s permutations), then the map
-above, run by one core with a heap of ready blocks.  ``sample_batch`` makes
-each block's parent vertex; ``sample_rank_counts`` keeps only the parent's
-rank, 1 + the least rank in its block.  A batch's trees share their leaves,
-which is safe as vertices are immutable and know no parent.  No count table,
-big integer or float is involved, and a tree costs O(N log N).
+above, run by one core with a heap of ready blocks; at k = 2 the blocks are
+pairs, and ``_pairs_in_order`` orders each by one comparison and keeps ints
+alone.  ``sample_batch`` makes each block's parent vertex;
+``sample_rank_counts`` keeps only the parent's rank, 1 + the least rank in
+its block.  A batch's trees share their leaves, which is safe as vertices
+are immutable and know no parent.  No count table, big integer or float is
+involved, and a tree costs O(N log N).  At k = 2, n = 1001 a tree, with its
+ranks and Newick string, takes 3.7 ms at the benchmark's reference speed
+(``run_s`` of 100 trees 0.371 s), 2.4 ms unscaled (``op_p50_ms``) and 4.0 ms
+of CPU in one process (2-core Xeon, CPython 3.11).
 
 Sample j draws from its own generator, seeded by a keyed hash of
 (base_seed, j), so a batch's first m trees are the batch of count m.  Its
@@ -45,8 +50,9 @@ from .treecore import Tree, internal, leaf
 __all__ = ["sample_batch", "sample_rank_counts"]
 
 # Peak RSS per vertex of one sampled tree, its batch's leaves and its Newick
-# string: 190 to 195 B at k = 2, 3, 5 and n = 100,001 to 400,001 (CPython 3.11);
-# the bound keeps a margin over that.
+# string, over a process that has made one small tree: 191 to 207 B at k = 2,
+# 3, 5 and n = 100,001 to 400,001 (CPython 3.11), the most at k = 2, where the
+# pair order's list holds an int per label; the bound keeps a margin over that.
 BYTES_PER_VERTEX = 216
 
 
@@ -75,6 +81,32 @@ def _blocks_in_order(k: int, n: int, labels: list[int]) -> Iterator[tuple[int, .
         if block is not None:
             heappush(ready, least := min(block))
             at[least] = block
+
+
+def _pairs_in_order(n: int, labels: list[int]) -> list[int]:
+    """``_blocks_in_order(2, n, labels)`` as one flat list, each pair smaller
+    label first.  ``partner`` holds a waiting pair's smaller label at its
+    larger, a ready pair's larger at its smaller, and 0 at any other label."""
+    partner = [0] * (len(labels) + 2)
+    ready = []
+    for a, b in zip(*[iter(labels)] * 2):
+        if b < a:
+            a, b = b, a
+        if b <= n:
+            ready.append(a)
+            partner[a] = b
+        else:
+            partner[b] = a
+    heapify(ready)
+    order = []
+    for label in range(n + 1, len(labels) + 2):
+        least = heappop(ready)
+        order += least, partner[least]
+        least = partner[label]
+        if least:
+            heappush(ready, least)
+            partner[least] = label
+    return order
 
 
 def _shuffle(labels: list[int], seed: int) -> None:
@@ -129,9 +161,13 @@ def sample_batch(k: int, n: int, count: int, base_seed: int, table=None) -> Iter
         if leaves is None:  # after the checks; vertices are immutable, so shared
             leaves = [None] + [leaf(label) for label in range(1, n + 1)]
         made = leaves.copy()  # made[x] is the vertex labelled x
-        vertex = made.__getitem__
-        for block in _blocks_in_order(k, n, labels):
-            made.append(internal(map(vertex, block)))
+        if k == 2:
+            for a, b in zip(*[iter(_pairs_in_order(n, labels))] * 2):
+                made.append(internal((made[a], made[b])))
+        else:
+            vertex = made.__getitem__
+            for block in _blocks_in_order(k, n, labels):
+                made.append(internal(map(vertex, block)))
         yield Tree(made[-1], k)
 
 
@@ -140,6 +176,10 @@ def sample_rank_counts(k: int, n: int, count: int, base_seed: int) -> Iterator[C
     base_seed)``, from the same shuffles, with one rank per label and no vertex."""
     for labels in _shuffles(k, n, count, base_seed):
         rank = [0] * (len(labels) + 2)
-        for label, block in enumerate(_blocks_in_order(k, n, labels), n + 1):
-            rank[label] = 1 + min(map(rank.__getitem__, block))
+        if k == 2:
+            for label, (a, b) in enumerate(zip(*[iter(_pairs_in_order(n, labels))] * 2), n + 1):
+                rank[label] = 1 + min(rank[a], rank[b])
+        else:
+            for label, block in enumerate(_blocks_in_order(k, n, labels), n + 1):
+                rank[label] = 1 + min(map(rank.__getitem__, block))
         yield Counter(rank[1:])

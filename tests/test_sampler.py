@@ -12,7 +12,8 @@ from phylorank.bruteforce import enumerate_all
 from phylorank.errors import DomainError
 from phylorank.exactcount import CountTable, MAX_TABLE_BYTES, internal_vertices
 from phylorank.sampler import (
-    BYTES_PER_VERTEX, _blocks_in_order, _shuffle, sample_batch, sample_rank_counts,
+    BYTES_PER_VERTEX, _blocks_in_order, _pairs_in_order, _shuffle, sample_batch,
+    sample_rank_counts,
 )
 from phylorank.treecore import census_of, rank_of, to_newick, validate
 
@@ -147,12 +148,33 @@ STREAM_PIN_SEED = 2026
 STREAM_PIN_SHA256 = "46870f5a8ffc62636f0f8e137fd5dac5dd85612ac92926be92a03c21b79f41c3"
 
 
-def test_stream_pin_at_real_sizes():
+@pytest.fixture
+def routes(monkeypatch):
+    """Counts, by (k, routine), the trees each order routine made."""
+    used = Counter()
+    pairs, blocks = sampler._pairs_in_order, sampler._blocks_in_order
+
+    def by_pairs(n, labels):
+        used[2, "pairs"] += 1
+        return pairs(n, labels)
+
+    def by_blocks(k, n, labels):
+        used[k, "blocks"] += 1
+        return blocks(k, n, labels)
+
+    monkeypatch.setattr(sampler, "_pairs_in_order", by_pairs)
+    monkeypatch.setattr(sampler, "_blocks_in_order", by_blocks)
+    return used
+
+
+def test_stream_pin_at_real_sizes(routes):
     digest = hashlib.sha256()
     for k, n, count in STREAM_PIN_BATCHES:
         for t in sample_batch(k, n, count, base_seed=STREAM_PIN_SEED):
             digest.update(to_newick(t).encode() + b"\n")
     assert digest.hexdigest() == STREAM_PIN_SHA256
+    # k = 2 ran through the pair order, every other k through the blocks
+    assert routes == {(2, "pairs"): 20, (3, "blocks"): 50, (5, "blocks"): 50}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2026, 2**64 + 7, 2**127 - 1])
@@ -223,8 +245,29 @@ def test_blocks_in_order_follow_the_rule(k):
             assert list(_blocks_in_order(k, n, labels)) == _blocks_by_the_rule(k, n, labels)
 
 
+def _as_sorted_pairs(blocks):
+    return [tuple(sorted(block)) for block in blocks]
+
+
+def test_pairs_in_order_follow_the_rule():
+    rng = random.Random("pairs")
+    for s in (0, 1, 2, 3, 4, 7, 30, 150):
+        for _ in range(8):
+            labels = list(range(1, 2 * s + 1))
+            rng.shuffle(labels)
+            order = _pairs_in_order(s + 1, labels)
+            pairs = list(zip(order[::2], order[1::2]))
+            assert len(order) == 2 * s
+            assert pairs == _as_sorted_pairs(_blocks_by_the_rule(2, s + 1, labels))
+            assert pairs == _as_sorted_pairs(_blocks_in_order(2, s + 1, labels))
+
+
+def _route(k):
+    return k, "pairs" if k == 2 else "blocks"
+
+
 @pytest.mark.parametrize("k, n", [(2, 7), (3, 9), (4, 10)])
-def test_round_trip_is_a_bijection_onto_every_tree(k, n, monkeypatch):
+def test_round_trip_is_a_bijection_onto_every_tree(k, n, monkeypatch, routes):
     # the sampler deals the partition's blocks, last one first and each
     # reversed, in place of a shuffle; it must give back the very tree
     dealt = []
@@ -242,6 +285,7 @@ def test_round_trip_is_a_bijection_onto_every_tree(k, n, monkeypatch):
     # blocks of k, and there are as many trees: the sampler's map, its
     # inverse, is a bijection
     assert len(partitions) == factorial(k * s) // (factorial(s) * factorial(k) ** s)
+    assert routes == {_route(k): len(partitions)}
 
 
 def _census_counts(tree):
@@ -251,20 +295,24 @@ def _census_counts(tree):
 
 
 @pytest.mark.parametrize("k, n", [(2, 7), (3, 9), (4, 10)])
-def test_rank_counts_match_the_census_of_every_tree(k, n, monkeypatch):
+def test_rank_counts_match_the_census_of_every_tree(k, n, monkeypatch, routes):
     # each tree's own partition, dealt in place of the shuffle as above
     dealt = []
     monkeypatch.setattr(sampler, "_shuffle", lambda labels, seed: labels.__setitem__(slice(None), dealt))
+    trees = 0
     for tree in enumerate_all(k, n):
         dealt[:] = [x for b in _partition_of(tree) for x in b]
         (counts,) = sample_rank_counts(k, n, 1, base_seed=0)
         assert counts == _census_counts(tree)
+        trees += 1
+    assert routes == {_route(k): trees}
 
 
 @pytest.mark.parametrize("k", [2, 3])
-def test_rank_counts_match_the_census_of_a_seeded_batch(k):
+def test_rank_counts_match_the_census_of_a_seeded_batch(k, routes):
     trees = sample_batch(k, 1001, 30, base_seed=77)
     counted = sample_rank_counts(k, 1001, 30, base_seed=77)
     for tree, counts in zip(trees, counted, strict=True):
         assert counts == _census_counts(tree)
         assert sum(counts.values()) == tree.n_vertices
+    assert routes == {_route(k): 60}
